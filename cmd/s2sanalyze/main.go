@@ -41,6 +41,7 @@ package main
 
 import (
 	"bufio"
+	"context"
 	"errors"
 	"flag"
 	"fmt"
@@ -412,7 +413,7 @@ func loadDataset(path string, workers int, keys []trace.PairKey, reg *obs.Regist
 		s.Instrument(reg)
 		s.Trace(rec)
 		if len(keys) > 0 {
-			return s.Pairs(workers, keys, ld)
+			return s.PairsCtx(context.Background(), workers, keys, 0, -1, ld)
 		}
 		return s.Scan(workers, ld)
 	}

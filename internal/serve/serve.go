@@ -414,24 +414,21 @@ func (b *Backend) Summary(ctx context.Context, q PairQuery) (*SummaryResponse, e
 		{SrcID: q.Src, DstID: q.Dst, V6: false},
 		{SrcID: q.Src, DstID: q.Dst, V6: true},
 	}
-	window := consumerFuncs{
+	// The store applies the window, pruning day shards outside it. One
+	// worker keeps the exact shard-order delivery of the live stream, so
+	// the finding stream matches what a campaign with -analyze emitted for
+	// this pair.
+	err := b.st.PairsCtx(ctx, 1, keys, from, to, consumerFuncs{
 		tr: func(tr *trace.Traceroute) {
-			if tr.At >= from && (to < 0 || tr.At < to) {
-				resp.Records++
-				stage.OnTraceroute(tr)
-			}
+			resp.Records++
+			stage.OnTraceroute(tr)
 		},
 		ping: func(p *trace.Ping) {
-			if p.At >= from && (to < 0 || p.At < to) {
-				resp.Records++
-				stage.OnPing(p)
-			}
+			resp.Records++
+			stage.OnPing(p)
 		},
-	}
-	// Pairs with one worker keeps the exact shard-order delivery of the
-	// live stream, so the finding stream matches what a campaign with
-	// -analyze emitted for this pair.
-	if err := b.st.PairsCtx(ctx, 1, keys, window); err != nil {
+	})
+	if err != nil {
 		return nil, err
 	}
 	stage.Finish()
@@ -449,16 +446,16 @@ type PairInfo struct {
 // PairsResponse is the /api/pairs payload.
 type PairsResponse struct {
 	Count int `json:"count"`
-	// Exhaustive is false when shard footers hold bloom filters instead of
-	// exact pair lists — the listing is then a lower bound.
+	// Exhaustive is always true: every shard footer lists its pairs
+	// exactly. The field stays so the body keeps its shape.
 	Exhaustive bool       `json:"exhaustive"`
 	Pairs      []PairInfo `json:"pairs"`
 }
 
 // Pairs lists the store's timeline keys from the shard footers.
 func (b *Backend) Pairs() (*PairsResponse, error) {
-	keys, exhaustive := b.st.PairKeys()
-	resp := &PairsResponse{Count: len(keys), Exhaustive: exhaustive, Pairs: make([]PairInfo, len(keys))}
+	keys, _ := b.st.PairKeys()
+	resp := &PairsResponse{Count: len(keys), Exhaustive: true, Pairs: make([]PairInfo, len(keys))}
 	for i, k := range keys {
 		resp.Pairs[i] = PairInfo{Src: k.SrcID, Dst: k.DstID, V6: k.V6}
 	}

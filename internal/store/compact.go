@@ -3,57 +3,58 @@ package store
 import (
 	"bytes"
 	"compress/gzip"
-	"encoding/binary"
 	"fmt"
 	"io"
 	"os"
 	"path/filepath"
-
-	"repro/internal/trace"
 )
 
-// readShardBytes returns a shard's on-disk payload and its decompressed
-// record framing (the same slice when the shard is uncompressed).
-func readShardBytes(path string, ix *shardIndex) (disk, raw []byte, err error) {
+// readPayload returns a shard's on-disk payload bytes (compressed when the
+// shard is). The caller has validated the file through readFooter.
+func readPayload(path string, ix *shardIndex) ([]byte, error) {
 	f, err := os.Open(path)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	defer f.Close()
-	var hdr [headerLen]byte
-	if _, err := io.ReadFull(f, hdr[:]); err != nil {
-		return nil, nil, err
-	}
-	if string(hdr[:len(shardMagic)]) != shardMagic {
-		return nil, nil, fmt.Errorf("bad shard magic")
-	}
-	disk = make([]byte, ix.PayloadBytes)
+	disk := make([]byte, ix.PayloadBytes)
 	if _, err := f.ReadAt(disk, int64(headerLen)); err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	if hdr[len(shardMagic)]&flagGzip == 0 {
-		return disk, disk, nil
+	return disk, nil
+}
+
+// framing returns the record framing of an on-disk payload: the payload
+// itself, or its inflation when gzipped, checked against the footer's
+// raw size so the frame table can slice it safely.
+func framing(disk []byte, gzipped bool, ix *shardIndex) ([]byte, error) {
+	if !gzipped {
+		return disk, nil
 	}
 	gr, err := gzip.NewReader(bytes.NewReader(disk))
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	buf := bytes.NewBuffer(make([]byte, 0, ix.RawBytes))
 	if _, err := io.Copy(buf, gr); err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	if err := gr.Close(); err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	return disk, buf.Bytes(), nil
+	if int64(buf.Len()) != ix.RawBytes {
+		return nil, fmt.Errorf("payload inflates to %d bytes, footer says %d", buf.Len(), ix.RawBytes)
+	}
+	return buf.Bytes(), nil
 }
 
 // Compact merges the segment files of every (day, pair-shard) cell that
 // was split by writer eviction into a single shard. Payload bytes are
-// copied verbatim — frames are walked with trace.ParseFrameHeader to
-// rebuild the footer's pair set, but no record is ever re-decoded, and
-// compressed shards are concatenated as gzip members rather than being
-// recompressed. Compact operates on a closed store; reopen it afterwards.
+// copied verbatim and the footers' frame tables are concatenated with
+// their pair ordinals remapped onto the merged pair list, so no frame is
+// ever walked or decoded, and compressed shards are concatenated as gzip
+// members rather than being recompressed. Compact operates on a closed
+// store; reopen it afterwards.
 func Compact(dir string) error {
 	man, err := ReadManifest(dir)
 	if err != nil {
@@ -93,7 +94,7 @@ func Compact(dir string) error {
 // mergeSegments concatenates one cell's segments into a fresh seq-0 shard.
 func mergeSegments(dir string, man *Manifest, group []ShardEntry) (ShardEntry, error) {
 	var merged shardIndex
-	pairs := make(map[trace.PairKey]struct{})
+	var table tableBuilder
 	tmpPath := filepath.Join(dir, shardName(group[0].Day, group[0].PairShard, 0)+".tmp")
 	tmp, err := os.Create(tmpPath)
 	if err != nil {
@@ -109,29 +110,23 @@ func mergeSegments(dir string, man *Manifest, group []ShardEntry) (ShardEntry, e
 		return ShardEntry{}, err
 	}
 	for gi, e := range group {
-		ix, err := readFooter(filepath.Join(dir, e.File))
+		path := filepath.Join(dir, e.File)
+		ix, _, err := readFooter(path)
 		if err != nil {
 			tmp.Close()
 			return ShardEntry{}, fmt.Errorf("store: compact %s: %w", e.File, err)
 		}
-		disk, raw, err := readShardBytes(filepath.Join(dir, e.File), ix)
+		disk, err := readPayload(path, ix)
 		if err != nil {
 			tmp.Close()
 			return ShardEntry{}, fmt.Errorf("store: compact %s: %w", e.File, err)
-		}
-		// Frame walk: rebuild the pair set without decoding records.
-		for off := 0; off < len(raw); {
-			h, err := trace.ParseFrameHeader(raw[off:])
-			if err != nil {
-				tmp.Close()
-				return ShardEntry{}, fmt.Errorf("store: compact %s: frame at %d: %w", e.File, off, err)
-			}
-			pairs[h.Key] = struct{}{}
-			off += h.Len
 		}
 		if _, err := tmp.Write(disk); err != nil {
 			tmp.Close()
 			return ShardEntry{}, err
+		}
+		for _, f := range ix.Frames {
+			table.add(ix.Exact[f.Pair], f.Len)
 		}
 		if gi == 0 || ix.MinAt < merged.MinAt {
 			merged.MinAt = ix.MinAt
@@ -145,19 +140,12 @@ func mergeSegments(dir string, man *Manifest, group []ShardEntry) (ShardEntry, e
 		merged.PayloadBytes += ix.PayloadBytes
 		merged.RawBytes += ix.RawBytes
 	}
-	merged.Exact, merged.Bloom = pairSetOf(pairs)
-	footer := encodeIndex(&merged)
-	trailer := binary.LittleEndian.AppendUint32(nil, uint32(len(footer)))
-	trailer = append(trailer, trailerMagic...)
-	if _, err := tmp.Write(footer); err != nil {
-		tmp.Close()
-		return ShardEntry{}, err
+	merged.Exact, merged.Frames = table.finish()
+	n, err := writeFooter(tmp, &merged)
+	if cerr := tmp.Close(); err == nil {
+		err = cerr
 	}
-	if _, err := tmp.Write(trailer); err != nil {
-		tmp.Close()
-		return ShardEntry{}, err
-	}
-	if err := tmp.Close(); err != nil {
+	if err != nil {
 		return ShardEntry{}, err
 	}
 	for _, e := range group {
@@ -177,6 +165,6 @@ func mergeSegments(dir string, man *Manifest, group []ShardEntry) (ShardEntry, e
 		Records:   merged.Records,
 		MinAtNS:   int64(merged.MinAt),
 		MaxAtNS:   int64(merged.MaxAt),
-		Bytes:     int64(headerLen) + merged.PayloadBytes + int64(len(footer)) + trailerLen,
+		Bytes:     int64(headerLen) + merged.PayloadBytes + n,
 	}, nil
 }

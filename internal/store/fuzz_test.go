@@ -10,22 +10,31 @@ import (
 )
 
 // FuzzShardIndex throws arbitrary bytes at the footer decoder (it must
-// reject or decode, never panic) and round-trips every successful decode:
-// re-encoding a decoded index and decoding again must reproduce it.
+// reject or decode, never panic), checks that every accepted frame table
+// is consistent with the counts and sizes, and round-trips every
+// successful decode: re-encoding a decoded index and decoding again must
+// reproduce it.
 func FuzzShardIndex(f *testing.F) {
 	seedIxs := []*shardIndex{
 		{Records: 1, Traceroutes: 1, PayloadBytes: 10, RawBytes: 10,
-			Exact: []trace.PairKey{{SrcID: 1, DstID: 2}}},
+			Exact:  []trace.PairKey{{SrcID: 1, DstID: 2}},
+			Frames: []frameRef{{0, 10}}},
 		{Records: 4, Traceroutes: 2, Pings: 2, MinAt: time.Hour, MaxAt: 30 * time.Hour,
 			PayloadBytes: 512, RawBytes: 900,
-			Exact: []trace.PairKey{{SrcID: 0, DstID: 7}, {SrcID: 0, DstID: 7, V6: true}, {SrcID: 3, DstID: 3}}},
-		{Records: 1000, Pings: 1000, MaxAt: time.Minute,
-			PayloadBytes: 1 << 20, RawBytes: 1 << 21,
-			Bloom: newBloom([]trace.PairKey{{SrcID: 1, DstID: 2}, {SrcID: 2, DstID: 1}})},
+			Exact:  []trace.PairKey{{SrcID: 0, DstID: 7}, {SrcID: 0, DstID: 7, V6: true}, {SrcID: 3, DstID: 3}},
+			Frames: []frameRef{{0, 230}, {1, 250}, {2, 20}, {0, 400}}},
+		{Records: 3, Pings: 3, MaxAt: time.Minute,
+			PayloadBytes: 1 << 20, RawBytes: 3 << 14,
+			Exact:  []trace.PairKey{{SrcID: 1, DstID: 2}, {SrcID: 200, DstID: 1, V6: true}},
+			Frames: []frameRef{{1, 1 << 14}, {0, 1 << 14}, {1, 1 << 14}}},
 	}
 	for _, ix := range seedIxs {
 		f.Add(encodeIndex(ix))
 	}
+	// A version-1 footer must be rejected, never misread as version 2.
+	v1 := encodeIndex(seedIxs[0])
+	v1[0] = 1
+	f.Add(v1)
 	f.Add([]byte{})
 	f.Add([]byte{0x01})
 	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x01})
@@ -45,6 +54,18 @@ func FuzzShardIndex(f *testing.F) {
 		if ix.Records != ix.Traceroutes+ix.Pings {
 			t.Fatalf("decoder accepted inconsistent counts: %d != %d + %d",
 				ix.Records, ix.Traceroutes, ix.Pings)
+		}
+		// The frame table must be safe to slice the raw payload with.
+		var sum int64
+		for _, fr := range ix.Frames {
+			if int(fr.Pair) >= len(ix.Exact) || fr.Len == 0 {
+				t.Fatalf("decoder accepted frame %+v over %d pairs", fr, len(ix.Exact))
+			}
+			sum += int64(fr.Len)
+		}
+		if int64(len(ix.Frames)) != ix.Records || sum != ix.RawBytes {
+			t.Fatalf("decoder accepted %d frames of %d bytes for %d records of %d bytes",
+				len(ix.Frames), sum, ix.Records, ix.RawBytes)
 		}
 	})
 }

@@ -3,7 +3,8 @@ package store
 import (
 	"encoding/binary"
 	"fmt"
-	"hash/fnv"
+	"io"
+	"math"
 	"sort"
 	"time"
 
@@ -18,6 +19,15 @@ import (
 //	footer   encoded shardIndex (always uncompressed)
 //	4 bytes  footer length, little endian
 //	4 bytes  trailer magic "S2SX"
+//
+// The footer (version 2) is, in order: the version byte; uvarint record,
+// traceroute and ping counts; varint MinAt and MaxAt; uvarint payload and
+// raw (uncompressed) byte counts; the exact pair list (uvarint count, then
+// per pair varint src, varint dst, one v6 byte, sorted and distinct); and
+// the frame table (uvarint count == records, then per frame in write order
+// the uvarint ordinal of its pair in the list and its uvarint length).
+// Frame offsets into the raw payload are the prefix sums of the lengths,
+// so a point read locates one pair's frames without touching the others.
 const (
 	shardMagic   = "S2SSHRD1"
 	trailerMagic = "S2SX"
@@ -28,17 +38,10 @@ const (
 )
 
 // indexVersion is the footer encoding version.
-const indexVersion = 1
-
-// exactPairCap is the largest distinct-pair population stored as an exact
-// sorted list; above it the footer switches to a bloom filter.
-const exactPairCap = 512
-
-// bloomHashes is the number of bloom probes per key.
-const bloomHashes = 4
+const indexVersion = 2
 
 // shardIndex is the per-shard footer: everything a reader needs to decide
-// whether to open the payload.
+// whether to open the payload and where a pair's frames sit in it.
 type shardIndex struct {
 	// Records counts all records; Traceroutes + Pings == Records.
 	Records     int64
@@ -50,31 +53,26 @@ type shardIndex struct {
 	// shard is compressed); RawBytes is the uncompressed framing size.
 	PayloadBytes int64
 	RawBytes     int64
-	// Exact is the sorted distinct pair list when small enough, else nil
-	// and Bloom holds a filter over the pair keys.
+	// Exact is the sorted distinct pair list.
 	Exact []trace.PairKey
-	Bloom []byte
+	// Frames is the frame table: one entry per record, in write order.
+	Frames []frameRef
 }
 
-// canContain reports whether the shard may hold records for key. False is
-// definitive; true may be a bloom false positive.
-func (ix *shardIndex) canContain(k trace.PairKey) bool {
-	if ix.Exact != nil {
-		i := sort.Search(len(ix.Exact), func(i int) bool { return !pairLess(ix.Exact[i], k) })
-		return i < len(ix.Exact) && ix.Exact[i] == k
+// frameRef is one frame-table entry: the frame's pair, as an ordinal into
+// shardIndex.Exact, and its encoded length in the raw payload.
+type frameRef struct {
+	Pair uint32
+	Len  uint32
+}
+
+// ordinal returns k's position in the exact pair list, or -1.
+func (ix *shardIndex) ordinal(k trace.PairKey) int {
+	i := sort.Search(len(ix.Exact), func(i int) bool { return !pairLess(ix.Exact[i], k) })
+	if i < len(ix.Exact) && ix.Exact[i] == k {
+		return i
 	}
-	if len(ix.Bloom) == 0 {
-		return false
-	}
-	h1, h2 := pairHashes(k)
-	bits := uint64(len(ix.Bloom)) * 8
-	for i := uint64(0); i < bloomHashes; i++ {
-		bit := (h1 + i*h2) % bits
-		if ix.Bloom[bit/8]&(1<<(bit%8)) == 0 {
-			return false
-		}
-	}
-	return true
+	return -1
 }
 
 func pairLess(a, b trace.PairKey) bool {
@@ -87,86 +85,85 @@ func pairLess(a, b trace.PairKey) bool {
 	return !a.V6 && b.V6
 }
 
-// pairHashes returns two independent 64-bit hashes of the key for
-// double-hashed bloom probes.
-func pairHashes(k trace.PairKey) (uint64, uint64) {
-	h := fnv.New64a()
-	var buf [17]byte
-	putUint64(buf[0:8], uint64(int64(k.SrcID)))
-	putUint64(buf[8:16], uint64(int64(k.DstID)))
-	if k.V6 {
-		buf[16] = 1
-	}
-	h.Write(buf[:])
-	h1 := h.Sum64()
-	h2 := h1>>33 | h1<<31
-	if h2 == 0 {
-		h2 = 0x9e3779b97f4a7c15
-	}
-	return h1, h2
+// tableBuilder accumulates a shard's pair set and frame table in write
+// order. Ordinals are provisional (first-seen order) until finish sorts
+// the pair list and remaps them.
+type tableBuilder struct {
+	ords   map[trace.PairKey]uint32
+	frames []frameRef
 }
 
-// newBloom builds a filter sized for n keys at ~1% false positives,
-// rounded up to whole bytes and capped at 64 KiB.
-func newBloom(keys []trace.PairKey) []byte {
-	bits := len(keys) * 10
-	if bits < 64 {
-		bits = 64
-	}
-	if bits > 1<<19 {
-		bits = 1 << 19
-	}
-	b := make([]byte, (bits+7)/8)
-	nbits := uint64(len(b)) * 8
-	for _, k := range keys {
-		h1, h2 := pairHashes(k)
-		for i := uint64(0); i < bloomHashes; i++ {
-			bit := (h1 + i*h2) % nbits
-			b[bit/8] |= 1 << (bit % 8)
+// add records one frame of pair k and length n.
+func (b *tableBuilder) add(k trace.PairKey, n uint32) {
+	o, ok := b.ords[k]
+	if !ok {
+		if b.ords == nil {
+			b.ords = make(map[trace.PairKey]uint32)
 		}
+		o = uint32(len(b.ords))
+		b.ords[k] = o
 	}
-	return b
+	b.frames = append(b.frames, frameRef{Pair: o, Len: n})
 }
 
-// Pair-set tags in the encoded footer.
-const (
-	pairSetExact byte = 0
-	pairSetBloom byte = 1
-)
+// finish returns the sorted pair list and the frame table with ordinals
+// into it. The builder must not be used afterwards.
+func (b *tableBuilder) finish() ([]trace.PairKey, []frameRef) {
+	exact := make([]trace.PairKey, 0, len(b.ords))
+	for k := range b.ords {
+		exact = append(exact, k)
+	}
+	sort.Slice(exact, func(i, j int) bool { return pairLess(exact[i], exact[j]) })
+	remap := make([]uint32, len(exact))
+	for pos, k := range exact {
+		remap[b.ords[k]] = uint32(pos)
+	}
+	for i := range b.frames {
+		b.frames[i].Pair = remap[b.frames[i].Pair]
+	}
+	return exact, b.frames
+}
 
 // encodeIndex serializes the footer.
 func encodeIndex(ix *shardIndex) []byte {
-	var buf []byte
+	buf := make([]byte, 0, 64+len(ix.Exact)*8+len(ix.Frames)*4)
 	buf = append(buf, indexVersion)
-	buf = appendUvarint(buf, uint64(ix.Records))
-	buf = appendUvarint(buf, uint64(ix.Traceroutes))
-	buf = appendUvarint(buf, uint64(ix.Pings))
+	buf = binary.AppendUvarint(buf, uint64(ix.Records))
+	buf = binary.AppendUvarint(buf, uint64(ix.Traceroutes))
+	buf = binary.AppendUvarint(buf, uint64(ix.Pings))
 	buf = binary.AppendVarint(buf, int64(ix.MinAt))
 	buf = binary.AppendVarint(buf, int64(ix.MaxAt))
-	buf = appendUvarint(buf, uint64(ix.PayloadBytes))
-	buf = appendUvarint(buf, uint64(ix.RawBytes))
-	if ix.Exact != nil {
-		buf = append(buf, pairSetExact)
-		buf = appendUvarint(buf, uint64(len(ix.Exact)))
-		for _, k := range ix.Exact {
-			buf = binary.AppendVarint(buf, int64(k.SrcID))
-			buf = binary.AppendVarint(buf, int64(k.DstID))
-			if k.V6 {
-				buf = append(buf, 1)
-			} else {
-				buf = append(buf, 0)
-			}
+	buf = binary.AppendUvarint(buf, uint64(ix.PayloadBytes))
+	buf = binary.AppendUvarint(buf, uint64(ix.RawBytes))
+	buf = binary.AppendUvarint(buf, uint64(len(ix.Exact)))
+	for _, k := range ix.Exact {
+		buf = binary.AppendVarint(buf, int64(k.SrcID))
+		buf = binary.AppendVarint(buf, int64(k.DstID))
+		if k.V6 {
+			buf = append(buf, 1)
+		} else {
+			buf = append(buf, 0)
 		}
-	} else {
-		buf = append(buf, pairSetBloom)
-		buf = appendUvarint(buf, uint64(len(ix.Bloom)))
-		buf = append(buf, ix.Bloom...)
+	}
+	buf = binary.AppendUvarint(buf, uint64(len(ix.Frames)))
+	for _, f := range ix.Frames {
+		buf = binary.AppendUvarint(buf, uint64(f.Pair))
+		buf = binary.AppendUvarint(buf, uint64(f.Len))
 	}
 	return buf
 }
 
-func appendUvarint(b []byte, v uint64) []byte {
-	return binary.AppendUvarint(b, v)
+// writeFooter appends the encoded footer and the trailer to a shard file
+// whose payload w has just received, returning the bytes written. It is
+// the one footer writer: the store writer, Compact and crash repair all
+// seal shards through it.
+func writeFooter(w io.Writer, ix *shardIndex) (int64, error) {
+	buf := encodeIndex(ix)
+	flen := len(buf)
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(flen))
+	buf = append(buf, trailerMagic...)
+	n, err := w.Write(buf)
+	return int64(n), err
 }
 
 type indexCursor struct {
@@ -201,16 +198,23 @@ func (c *indexCursor) varint() (int64, error) {
 	return v, nil
 }
 
-// decodeIndex parses an encoded footer. It validates counts and sizes so a
-// corrupt footer fails cleanly instead of driving huge allocations.
+// remaining is the number of undecoded bytes.
+func (c *indexCursor) remaining() int { return len(c.data) - c.off }
+
+// decodeIndex parses an encoded footer. It validates counts, sizes and the
+// frame table against each other, so a corrupt footer fails cleanly
+// instead of driving huge allocations or out-of-range payload reads.
 func decodeIndex(data []byte) (*shardIndex, error) {
 	c := indexCursor{data: data}
 	ver, err := c.byte()
 	if err != nil {
 		return nil, err
 	}
+	if ver == 1 {
+		return nil, fmt.Errorf("store: shard footer version 1 has no frame table; regenerate the store")
+	}
 	if ver != indexVersion {
-		return nil, fmt.Errorf("store: unsupported index version %d", ver)
+		return nil, fmt.Errorf("store: unsupported shard footer version %d", ver)
 	}
 	ix := new(shardIndex)
 	for _, dst := range []*int64{&ix.Records, &ix.Traceroutes, &ix.Pings} {
@@ -249,73 +253,84 @@ func decodeIndex(data []byte) (*shardIndex, error) {
 		}
 		*dst = int64(v)
 	}
-	tag, err := c.byte()
+
+	// Pair list: at least 3 encoded bytes per pair, and no more pairs than
+	// records (every pair owns at least one frame).
+	n, err := c.uvarint()
 	if err != nil {
 		return nil, err
 	}
-	switch tag {
-	case pairSetExact:
-		n, err := c.uvarint()
+	if n > uint64(ix.Records) || n > uint64(c.remaining()/3) {
+		return nil, fmt.Errorf("store: pair list of %d exceeds the index", n)
+	}
+	ix.Exact = make([]trace.PairKey, 0, n)
+	for i := uint64(0); i < n; i++ {
+		src, err := c.varint()
 		if err != nil {
 			return nil, err
 		}
-		if n > exactPairCap {
-			return nil, fmt.Errorf("store: exact pair list of %d exceeds cap %d", n, exactPairCap)
-		}
-		ix.Exact = make([]trace.PairKey, 0, n)
-		for i := uint64(0); i < n; i++ {
-			src, err := c.varint()
-			if err != nil {
-				return nil, err
-			}
-			dst, err := c.varint()
-			if err != nil {
-				return nil, err
-			}
-			v6, err := c.byte()
-			if err != nil {
-				return nil, err
-			}
-			if v6 > 1 {
-				return nil, fmt.Errorf("store: bad v6 flag %d in index", v6)
-			}
-			ix.Exact = append(ix.Exact, trace.PairKey{SrcID: int(src), DstID: int(dst), V6: v6 == 1})
-		}
-		if !sort.SliceIsSorted(ix.Exact, func(i, j int) bool { return pairLess(ix.Exact[i], ix.Exact[j]) }) {
-			return nil, fmt.Errorf("store: exact pair list not sorted")
-		}
-	case pairSetBloom:
-		n, err := c.uvarint()
+		dst, err := c.varint()
 		if err != nil {
 			return nil, err
 		}
-		if n > 1<<20 {
-			return nil, fmt.Errorf("store: implausible bloom size %d", n)
+		v6, err := c.byte()
+		if err != nil {
+			return nil, err
 		}
-		if c.off+int(n) > len(c.data) {
-			return nil, fmt.Errorf("store: truncated bloom filter")
+		if v6 > 1 {
+			return nil, fmt.Errorf("store: bad v6 flag %d in index", v6)
 		}
-		ix.Bloom = append([]byte(nil), c.data[c.off:c.off+int(n)]...)
-		c.off += int(n)
-	default:
-		return nil, fmt.Errorf("store: unknown pair-set tag %d", tag)
+		k := trace.PairKey{SrcID: int(src), DstID: int(dst), V6: v6 == 1}
+		if len(ix.Exact) > 0 && !pairLess(ix.Exact[len(ix.Exact)-1], k) {
+			return nil, fmt.Errorf("store: pair list not sorted and distinct at %d", i)
+		}
+		ix.Exact = append(ix.Exact, k)
+	}
+
+	// Frame table: one entry (at least 2 encoded bytes) per record, every
+	// ordinal in the pair list, lengths summing to the raw payload size.
+	nf, err := c.uvarint()
+	if err != nil {
+		return nil, err
+	}
+	if nf != uint64(ix.Records) {
+		return nil, fmt.Errorf("store: frame table holds %d frames, index says %d records", nf, ix.Records)
+	}
+	if nf > uint64(c.remaining()/2) {
+		return nil, fmt.Errorf("store: frame table of %d frames exceeds the index", nf)
+	}
+	ix.Frames = make([]frameRef, nf)
+	used := make([]bool, len(ix.Exact))
+	var sum int64
+	for i := range ix.Frames {
+		pair, err := c.uvarint()
+		if err != nil {
+			return nil, err
+		}
+		if pair >= uint64(len(ix.Exact)) {
+			return nil, fmt.Errorf("store: frame %d names pair %d of %d", i, pair, len(ix.Exact))
+		}
+		flen, err := c.uvarint()
+		if err != nil {
+			return nil, err
+		}
+		if flen == 0 || flen > math.MaxUint32 || flen > uint64(ix.RawBytes-sum) {
+			return nil, fmt.Errorf("store: frame %d length %d overruns the %d-byte payload", i, flen, ix.RawBytes)
+		}
+		sum += int64(flen)
+		used[pair] = true
+		ix.Frames[i] = frameRef{Pair: uint32(pair), Len: uint32(flen)}
+	}
+	if sum != ix.RawBytes {
+		return nil, fmt.Errorf("store: frame lengths sum to %d, index says %d raw bytes", sum, ix.RawBytes)
+	}
+	for i, ok := range used {
+		if !ok {
+			return nil, fmt.Errorf("store: pair %v has no frame", ix.Exact[i])
+		}
 	}
 	if c.off != len(c.data) {
 		return nil, fmt.Errorf("store: %d trailing bytes after index", len(c.data)-c.off)
 	}
 	return ix, nil
-}
-
-// pairSetOf finalizes the distinct-pair map of a shard into the footer
-// representation: a sorted exact list when small, a bloom filter otherwise.
-func pairSetOf(pairs map[trace.PairKey]struct{}) (exact []trace.PairKey, bloom []byte) {
-	keys := make([]trace.PairKey, 0, len(pairs))
-	for k := range pairs {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool { return pairLess(keys[i], keys[j]) })
-	if len(keys) <= exactPairCap {
-		return keys, nil
-	}
-	return nil, newBloom(keys)
 }

@@ -21,11 +21,12 @@ import (
 // shardInfo is one shard file with its decoded footer.
 type shardInfo struct {
 	ShardEntry
-	ix *shardIndex
+	ix      *shardIndex
+	gzipped bool // payload is gzip-compressed (shard header flag)
 }
 
 // Store is an opened dataset store. Reads are safe for concurrent use;
-// consumers passed to Scan/Pairs/TimeRange are always called from the
+// consumers passed to Scan/PairsCtx/TimeRange are always called from the
 // calling goroutine, in deterministic shard order.
 type Store struct {
 	dir    string
@@ -41,8 +42,9 @@ type Store struct {
 }
 
 // Open reads the manifest and every shard footer of a store directory.
-// Footers are small (counts, span, pair set), so opening stays cheap even
-// when the payloads do not fit in RAM.
+// Footers are small (counts, span, pair list, frame table: a few bytes per
+// record), so opening stays cheap even when the payloads do not fit in
+// RAM.
 //
 // Open also recovers crash debris: segment files a killed writer
 // finalized after its last manifest write are adopted, and the torn
@@ -57,7 +59,7 @@ func Open(dir string) (*Store, error) {
 	}
 	s := &Store{dir: dir, man: man, shards: make([]shardInfo, 0, len(man.Shards))}
 	for _, e := range man.Shards {
-		ix, err := readFooter(filepath.Join(dir, e.File))
+		ix, gzipped, err := readFooter(filepath.Join(dir, e.File))
 		if err != nil {
 			return nil, fmt.Errorf("store: shard %s: %w", e.File, err)
 		}
@@ -65,7 +67,7 @@ func Open(dir string) (*Store, error) {
 			return nil, fmt.Errorf("store: shard %s: footer holds %d records, manifest says %d",
 				e.File, ix.Records, e.Records)
 		}
-		s.shards = append(s.shards, shardInfo{ShardEntry: e, ix: ix})
+		s.shards = append(s.shards, shardInfo{ShardEntry: e, ix: ix, gzipped: gzipped})
 	}
 	adopted, err := adoptOrphans(dir, man)
 	if err != nil {
@@ -98,8 +100,8 @@ func Open(dir string) (*Store, error) {
 func (s *Store) Manifest() *Manifest { return s.man }
 
 // Instrument registers read-side telemetry: shards scanned vs pruned,
-// payload bytes read off disk, records delivered, frames skipped by
-// pushdown filters.
+// payload bytes read off disk, records delivered, frames read but
+// rejected by a time window.
 func (s *Store) Instrument(reg *obs.Registry) {
 	if reg == nil {
 		return
@@ -108,124 +110,218 @@ func (s *Store) Instrument(reg *obs.Registry) {
 	s.prunedC = reg.Counter(MetricShardsPruned, "shards a store read skipped via the index")
 	s.bytesC = reg.Counter(MetricBytesRead, "payload bytes a store read off disk")
 	s.recordsC = reg.Counter(MetricRecordsRead, "records a store read delivered")
-	s.filteredC = reg.Counter(MetricFramesFiltered, "frames skipped at the frame-header level by pushdown filters")
+	s.filteredC = reg.Counter(MetricFramesFiltered, "frames read but skipped at the frame-header level by a time window")
 }
 
 // Trace records one flight span per shard scan.
 func (s *Store) Trace(rec *flight.Recorder) { s.rec = rec }
 
-// readFooter opens a shard file and decodes its footer index.
-func readFooter(path string) (*shardIndex, error) {
+// readFooter opens a shard file and decodes its footer index. gzipped
+// reports the header's compression flag.
+func readFooter(path string) (ix *shardIndex, gzipped bool, err error) {
 	f, err := os.Open(path)
 	if err != nil {
-		return nil, err
+		return nil, false, err
 	}
 	defer f.Close()
 	fi, err := f.Stat()
 	if err != nil {
-		return nil, err
+		return nil, false, err
 	}
 	size := fi.Size()
 	if size < int64(headerLen+trailerLen) {
-		return nil, fmt.Errorf("file too small (%d bytes)", size)
+		return nil, false, fmt.Errorf("file too small (%d bytes)", size)
 	}
 	var hdr [headerLen]byte
 	if _, err := io.ReadFull(f, hdr[:]); err != nil {
-		return nil, err
+		return nil, false, err
 	}
 	if string(hdr[:len(shardMagic)]) != shardMagic {
-		return nil, fmt.Errorf("bad shard magic")
+		return nil, false, fmt.Errorf("bad shard magic")
 	}
+	gzipped = hdr[len(shardMagic)]&flagGzip != 0
 	var tr [trailerLen]byte
 	if _, err := f.ReadAt(tr[:], size-trailerLen); err != nil {
-		return nil, err
+		return nil, false, err
 	}
 	if string(tr[4:]) != trailerMagic {
-		return nil, fmt.Errorf("bad trailer magic")
+		return nil, false, fmt.Errorf("bad trailer magic")
 	}
 	flen := int64(binary.LittleEndian.Uint32(tr[:4]))
 	if flen <= 0 || flen > size-int64(headerLen+trailerLen) {
-		return nil, fmt.Errorf("bad footer length %d", flen)
+		return nil, false, fmt.Errorf("bad footer length %d", flen)
 	}
 	footer := make([]byte, flen)
 	if _, err := f.ReadAt(footer, size-trailerLen-flen); err != nil {
-		return nil, err
+		return nil, false, err
 	}
-	ix, err := decodeIndex(footer)
-	if err != nil {
-		return nil, err
+	if ix, err = decodeIndex(footer); err != nil {
+		return nil, false, err
 	}
 	if want := size - int64(headerLen) - flen - trailerLen; ix.PayloadBytes != want {
-		return nil, fmt.Errorf("footer payload size %d disagrees with file layout %d", ix.PayloadBytes, want)
+		return nil, false, fmt.Errorf("footer payload size %d disagrees with file layout %d", ix.PayloadBytes, want)
 	}
-	return ix, nil
+	if !gzipped && ix.RawBytes != ix.PayloadBytes {
+		return nil, false, fmt.Errorf("uncompressed payload of %d bytes, footer says %d raw", ix.PayloadBytes, ix.RawBytes)
+	}
+	return ix, gzipped, nil
 }
 
-// readPayload returns a shard's decompressed record framing, counting the
-// on-disk bytes actually read.
-func (s *Store) readPayload(sh *shardInfo) ([]byte, error) {
-	disk, raw, err := readShardBytes(filepath.Join(s.dir, sh.File), sh.ix)
+// query selects the records a read delivers: those of keys (nil selects
+// every key) with At in [from, to). to < 0 means no upper bound.
+type query struct {
+	keys     []trace.PairKey
+	from, to time.Duration
+}
+
+func (q *query) inWindow(at time.Duration) bool {
+	return at >= q.from && (q.to < 0 || at < q.to)
+}
+
+// pick is one shard a read opens, with the pair ordinals it wants from
+// the shard's frame table (nil: every frame).
+type pick struct {
+	sh   *shardInfo
+	want []bool
+}
+
+// plan selects the shards a query must open, in delivery order, and
+// counts the rest as pruned: shards whose time span misses the window,
+// and, for a key query, shards whose exact pair list holds none of the
+// keys.
+func (s *Store) plan(q *query) []pick {
+	var picks []pick
+	for i := range s.shards {
+		p := pick{sh: &s.shards[i]}
+		ix := p.sh.ix
+		hit := ix.MaxAt >= q.from && (q.to < 0 || ix.MinAt < q.to)
+		if hit && q.keys != nil {
+			hit = false
+			for _, k := range q.keys {
+				if o := ix.ordinal(k); o >= 0 {
+					if p.want == nil {
+						p.want = make([]bool, len(ix.Exact))
+					}
+					p.want[o] = true
+					hit = true
+				}
+			}
+		}
+		if !hit {
+			s.prunedC.Inc()
+			continue
+		}
+		picks = append(picks, p)
+	}
+	return picks
+}
+
+// fetch returns the record framing a pick selects, its frame count, and
+// the on-disk bytes read. Without a pair selection that is the whole
+// payload. With one, the frame table locates the wanted frames: an
+// uncompressed shard reads exactly those byte ranges (adjacent frames
+// merged into one read) into a buffer sized to their total; a gzip shard
+// is inflated whole and the wanted frames are sliced out by the table.
+// Either way the frames come back in write order.
+func (s *Store) fetch(p pick) (buf []byte, frames int, read int64, err error) {
+	sh := p.sh
+	path := filepath.Join(s.dir, sh.File)
+	if p.want == nil || sh.gzipped {
+		disk, err := readPayload(path, sh.ix)
+		if err == nil {
+			buf, err = framing(disk, sh.gzipped, sh.ix)
+		}
+		if err != nil {
+			return nil, 0, 0, err
+		}
+		s.bytesC.Add(int64(len(disk)))
+		if p.want == nil {
+			return buf, int(sh.ix.Records), int64(len(disk)), nil
+		}
+		read = int64(len(disk))
+	}
+	type span struct{ off, n int64 }
+	var spans []span
+	var off, total int64
+	for _, f := range sh.ix.Frames {
+		if p.want[f.Pair] {
+			if last := len(spans) - 1; last >= 0 && spans[last].off+spans[last].n == off {
+				spans[last].n += int64(f.Len)
+			} else {
+				spans = append(spans, span{off, int64(f.Len)})
+			}
+			total += int64(f.Len)
+			frames++
+		}
+		off += int64(f.Len)
+	}
+	if sh.gzipped {
+		// Compact the wanted frames to the front of the inflated payload.
+		pos := int64(0)
+		for _, sp := range spans {
+			pos += int64(copy(buf[pos:], buf[sp.off:sp.off+sp.n]))
+		}
+		return buf[:pos], frames, read, nil
+	}
+	f, err := os.Open(path)
 	if err != nil {
-		return nil, err
+		return nil, 0, 0, err
 	}
-	s.bytesC.Add(int64(len(disk)))
-	return raw, nil
+	defer f.Close()
+	buf = make([]byte, total)
+	pos := int64(0)
+	for _, sp := range spans {
+		if _, err := f.ReadAt(buf[pos:pos+sp.n], int64(headerLen)+sp.off); err != nil {
+			return nil, 0, 0, err
+		}
+		pos += sp.n
+	}
+	s.bytesC.Add(total)
+	return buf, frames, total, nil
 }
 
-// frameFilter decides per frame whether to decode it. nil means decode all.
-type frameFilter func(trace.FrameHeader) bool
-
-// decodeShard reads one shard and returns its records in write order,
-// applying the filter at the frame level so rejected frames are never
-// decoded into records.
-func (s *Store) decodeShard(sh *shardInfo, filter frameFilter) ([]any, error) {
+// decodeShard reads one pick and returns its records in write order.
+// Frames are decoded in place with trace.DecodeFrame, so only the records
+// themselves allocate. When the window cuts the shard's span, each frame's
+// timestamp is checked at the header level first and rejected frames are
+// never decoded.
+func (s *Store) decodeShard(p pick, q *query) ([]any, error) {
+	sh := p.sh
 	sp := s.rec.Begin(flight.PhShardScan, sh.ix.MinAt)
-	payload, err := s.readPayload(sh)
-	if err != nil {
+	fail := func(err error) ([]any, error) {
 		sp.End(flight.Attrs{S: sh.File})
 		return nil, fmt.Errorf("store: shard %s: %w", sh.File, err)
 	}
-	// Both paths decode frames in place with trace.DecodeFrame: the
-	// payload is already in memory, so no per-frame (or even per-shard)
-	// reader and scratch-buffer allocations — only the records themselves.
-	var out []any
-	if filter == nil {
-		out = make([]any, 0, sh.ix.Records)
-		for off := 0; off < len(payload); {
-			rec, n, err := trace.DecodeFrame(payload[off:])
+	buf, frames, read, err := s.fetch(p)
+	if err != nil {
+		return fail(err)
+	}
+	clip := sh.ix.MinAt < q.from || (q.to >= 0 && sh.ix.MaxAt >= q.to)
+	out := make([]any, 0, frames)
+	skipped := int64(0)
+	for off := 0; off < len(buf); {
+		if clip {
+			h, err := trace.ParseFrameHeader(buf[off:])
 			if err != nil {
-				sp.End(flight.Attrs{S: sh.File})
-				return nil, fmt.Errorf("store: shard %s: frame at %d: %w", sh.File, off, err)
+				return fail(fmt.Errorf("frame at %d: %w", off, err))
 			}
-			out = append(out, rec)
-			off += n
-		}
-	} else {
-		skipped := int64(0)
-		for off := 0; off < len(payload); {
-			h, err := trace.ParseFrameHeader(payload[off:])
-			if err != nil {
-				sp.End(flight.Attrs{S: sh.File})
-				return nil, fmt.Errorf("store: shard %s: frame at %d: %w", sh.File, off, err)
-			}
-			if !filter(h) {
+			if !q.inWindow(h.At) {
 				skipped++
 				off += h.Len
 				continue
 			}
-			rec, _, err := trace.DecodeFrame(payload[off : off+h.Len])
-			if err != nil {
-				sp.End(flight.Attrs{S: sh.File})
-				return nil, fmt.Errorf("store: shard %s: frame at %d: %w", sh.File, off, err)
-			}
-			out = append(out, rec)
-			off += h.Len
 		}
-		s.filteredC.Add(skipped)
+		rec, n, err := trace.DecodeFrame(buf[off:])
+		if err != nil {
+			return fail(fmt.Errorf("frame at %d: %w", off, err))
+		}
+		out = append(out, rec)
+		off += n
 	}
+	s.filteredC.Add(skipped)
 	s.scannedC.Inc()
 	s.recordsC.Add(int64(len(out)))
-	sp.End(flight.Attrs{S: sh.File, N: int64(len(out)), M: int64(sh.ix.PayloadBytes)})
+	sp.End(flight.Attrs{S: sh.File, N: int64(len(out)), M: read})
 	return out, nil
 }
 
@@ -239,23 +335,49 @@ func normalizeWorkers(w int) int {
 	return w
 }
 
-// deliver decodes the selected shards on a worker pool and hands records
-// to c in selection order. Per-pair record order is preserved: a pair's
-// records live in one pair-shard column, columns are delivered day by day,
-// and within a shard records keep write order.
-func (s *Store) deliver(ctx context.Context, selected []*shardInfo, workers int, filter frameFilter, c Consumer) error {
-	if len(selected) == 0 {
+// emit hands decoded records to c.
+func emit(recs []any, c Consumer) {
+	for _, rec := range recs {
+		switch v := rec.(type) {
+		case *trace.Traceroute:
+			c.OnTraceroute(v)
+		case *trace.Ping:
+			c.OnPing(v)
+		}
+	}
+}
+
+// deliver decodes the picked shards and hands records to c in pick order.
+// Per-pair record order is preserved: a pair's records live in one
+// pair-shard column, columns are delivered day by day, and within a shard
+// records keep write order. One worker decodes on the calling goroutine,
+// checking ctx between shards; more decode on a pool.
+func (s *Store) deliver(ctx context.Context, picks []pick, workers int, q *query, c Consumer) error {
+	if len(picks) == 0 {
 		return nil
 	}
 	workers = normalizeWorkers(workers)
-	if workers > len(selected) {
-		workers = len(selected)
+	if workers > len(picks) {
+		workers = len(picks)
+	}
+	if workers == 1 {
+		for _, p := range picks {
+			if err := ctx.Err(); err != nil {
+				return err
+			}
+			recs, err := s.decodeShard(p, q)
+			if err != nil {
+				return err
+			}
+			emit(recs, c)
+		}
+		return nil
 	}
 	type batch struct {
 		recs []any
 		err  error
 	}
-	out := make([]chan batch, len(selected))
+	out := make([]chan batch, len(picks))
 	for i := range out {
 		out[i] = make(chan batch, 1)
 	}
@@ -267,7 +389,7 @@ func (s *Store) deliver(ctx context.Context, selected []*shardInfo, workers int,
 			defer wg.Done()
 			for {
 				i := int(next.Add(1)) - 1
-				if i >= len(selected) {
+				if i >= len(picks) {
 					return
 				}
 				// A canceled caller stops paying for decodes; shards already
@@ -276,7 +398,7 @@ func (s *Store) deliver(ctx context.Context, selected []*shardInfo, workers int,
 					out[i] <- batch{err: err}
 					continue
 				}
-				recs, err := s.decodeShard(selected[i], filter)
+				recs, err := s.decodeShard(picks[i], q)
 				out[i] <- batch{recs: recs, err: err}
 			}
 		}()
@@ -293,14 +415,7 @@ func (s *Store) deliver(ctx context.Context, selected []*shardInfo, workers int,
 		if firstErr != nil {
 			continue // drain remaining workers, deliver nothing further
 		}
-		for _, rec := range b.recs {
-			switch v := rec.(type) {
-			case *trace.Traceroute:
-				c.OnTraceroute(v)
-			case *trace.Ping:
-				c.OnPing(v)
-			}
-		}
+		emit(b.recs, c)
 	}
 	wg.Wait()
 	return firstErr
@@ -308,122 +423,50 @@ func (s *Store) deliver(ctx context.Context, selected []*shardInfo, workers int,
 
 // Scan streams every record of the store to c on a pool of workers.
 func (s *Store) Scan(workers int, c Consumer) error {
-	selected := make([]*shardInfo, len(s.shards))
-	for i := range s.shards {
-		selected[i] = &s.shards[i]
-	}
-	return s.deliver(context.Background(), selected, workers, nil, c)
+	q := query{to: -1}
+	return s.deliver(context.Background(), s.plan(&q), workers, &q, c)
 }
 
-// Pairs streams only the records of the requested timeline keys, opening
-// just the shards whose index can contain them (pair-shard column first,
-// then the footer's exact list or bloom filter) and skipping non-matching
-// frames without decoding them.
-func (s *Store) Pairs(workers int, keys []trace.PairKey, c Consumer) error {
-	return s.PairsCtx(context.Background(), workers, keys, c)
-}
-
-// PairsCtx is Pairs under a context: cancellation stops further shard
-// decodes and surfaces ctx.Err(). Records already decoded when the
-// context fires may still be delivered.
-func (s *Store) PairsCtx(ctx context.Context, workers int, keys []trace.PairKey, c Consumer) error {
+// PairsCtx streams the records of the requested timeline keys with At in
+// [from, to) to c; to < 0 means no upper bound. Delivery is in shard
+// order and, within a shard, in write order, so per-pair order and the
+// interleave of a pair's v4 and v6 timelines match the writing campaign.
+//
+// Pushdown happens at two levels. Shards whose time span misses the
+// window, or whose footer pair list holds none of the keys, are pruned
+// unopened. Within a shard the footer's frame table locates the keys'
+// frames, so no other pair's frame is read or walked; only frames of the
+// wanted keys that fall outside the window are rejected, at the
+// frame-header level (counted in MetricFramesFiltered).
+//
+// workers > 1 decodes shards on a pool; 1 decodes on the calling
+// goroutine. Cancellation stops further shard decodes and surfaces
+// ctx.Err(); records already decoded when the context fires may still be
+// delivered.
+func (s *Store) PairsCtx(ctx context.Context, workers int, keys []trace.PairKey, from, to time.Duration, c Consumer) error {
 	if len(keys) == 0 {
 		return nil
 	}
-	want := make(map[trace.PairKey]bool, len(keys))
-	cols := make(map[int]bool)
-	for _, k := range keys {
-		want[k] = true
-		cols[PairShardOf(k, s.man.PairShards)] = true
-	}
-	var selected []*shardInfo
-	for i := range s.shards {
-		sh := &s.shards[i]
-		if !cols[sh.PairShard] {
-			s.prunedC.Inc()
-			continue
-		}
-		hit := false
-		for k := range want {
-			if sh.ix.canContain(k) {
-				hit = true
-				break
-			}
-		}
-		if !hit {
-			s.prunedC.Inc()
-			continue
-		}
-		selected = append(selected, sh)
-	}
-	return s.deliver(ctx, selected, workers, func(h trace.FrameHeader) bool { return want[h.Key] }, c)
+	q := query{keys: keys, from: from, to: to}
+	return s.deliver(ctx, s.plan(&q), workers, &q, c)
 }
 
-// Pair streams the records of exactly one timeline key with At in
-// [from, to), in write order, to c. to < 0 means no upper bound.
-//
-// This is the query service's point-lookup path: unlike Pairs it never
-// spins up a worker pool — a single pair's records live in one pair-shard
-// column, so the work is a handful of sequential shard decodes. Pushdown
-// happens at both levels: shards outside the pair's column, without the
-// key in their footer pair set, or outside the time window are pruned
-// unopened, and within a shard non-matching frames are skipped at the
-// frame-header level without being decoded (asserted byte-for-byte by
-// TestPairPointLookupPushdown).
-func (s *Store) Pair(k trace.PairKey, from, to time.Duration, c Consumer) error {
-	return s.PairCtx(context.Background(), k, from, to, c)
-}
-
-// PairCtx is Pair under a context, checked between shard decodes: a
-// canceled query stops after the shard it is in, so an abandoned HTTP
-// request stops consuming decode CPU within one shard's work.
+// PairCtx is the query service's point lookup: PairsCtx for exactly one
+// key on the calling goroutine. A pair's records live in one pair-shard
+// column, so the work is a handful of sequential reads of that pair's
+// frames (asserted byte-for-byte by TestPairPointLookupPushdown), and a
+// canceled query stops after the shard it is in.
 func (s *Store) PairCtx(ctx context.Context, k trace.PairKey, from, to time.Duration, c Consumer) error {
-	col := PairShardOf(k, s.man.PairShards)
-	filter := func(h trace.FrameHeader) bool {
-		return h.Key == k && h.At >= from && (to < 0 || h.At < to)
-	}
-	for i := range s.shards {
-		sh := &s.shards[i]
-		if sh.PairShard != col || !sh.ix.canContain(k) ||
-			sh.ix.MaxAt < from || (to >= 0 && sh.ix.MinAt >= to) {
-			s.prunedC.Inc()
-			continue
-		}
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		recs, err := s.decodeShard(sh, filter)
-		if err != nil {
-			return err
-		}
-		for _, rec := range recs {
-			switch v := rec.(type) {
-			case *trace.Traceroute:
-				c.OnTraceroute(v)
-			case *trace.Ping:
-				c.OnPing(v)
-			}
-		}
-	}
-	return nil
+	return s.PairsCtx(ctx, 1, []trace.PairKey{k}, from, to, c)
 }
 
 // PairKeys returns the sorted union of the distinct timeline keys recorded
-// in the shard footers. exhaustive is false when any non-empty shard's
-// footer holds a bloom filter instead of an exact pair list — the returned
-// keys are then a subset of the store's population.
+// in the shard footers. Every footer holds its exact pair list, so the
+// listing is always exhaustive; the second result is always true.
 func (s *Store) PairKeys() (keys []trace.PairKey, exhaustive bool) {
 	set := make(map[trace.PairKey]struct{})
-	exhaustive = true
 	for i := range s.shards {
-		ix := s.shards[i].ix
-		if ix.Exact == nil {
-			if ix.Records > 0 {
-				exhaustive = false
-			}
-			continue
-		}
-		for _, k := range ix.Exact {
+		for _, k := range s.shards[i].ix.Exact {
 			set[k] = struct{}{}
 		}
 	}
@@ -432,22 +475,12 @@ func (s *Store) PairKeys() (keys []trace.PairKey, exhaustive bool) {
 		keys = append(keys, k)
 	}
 	sort.Slice(keys, func(i, j int) bool { return pairLess(keys[i], keys[j]) })
-	return keys, exhaustive
+	return keys, true
 }
 
 // TimeRange streams the records with At in [from, to), pruning shards
 // whose footer span falls outside the window. to < 0 means no upper bound.
 func (s *Store) TimeRange(workers int, from, to time.Duration, c Consumer) error {
-	var selected []*shardInfo
-	for i := range s.shards {
-		sh := &s.shards[i]
-		if sh.ix.MaxAt < from || (to >= 0 && sh.ix.MinAt >= to) {
-			s.prunedC.Inc()
-			continue
-		}
-		selected = append(selected, sh)
-	}
-	return s.deliver(context.Background(), selected, workers, func(h trace.FrameHeader) bool {
-		return h.At >= from && (to < 0 || h.At < to)
-	}, c)
+	q := query{from: from, to: to}
+	return s.deliver(context.Background(), s.plan(&q), workers, &q, c)
 }

@@ -3,14 +3,12 @@ package store
 import (
 	"bytes"
 	"compress/gzip"
-	"encoding/binary"
 	"fmt"
 	"io"
 	"os"
 	"path/filepath"
 	"sort"
 	"strings"
-	"time"
 
 	"repro/internal/trace"
 )
@@ -80,12 +78,12 @@ func adoptOrphans(dir string, man *Manifest) ([]shardInfo, error) {
 			continue
 		}
 		path := filepath.Join(dir, f.name)
-		ix, err := readFooter(path)
+		ix, gzipped, err := readFooter(path)
 		if err != nil {
 			// No valid footer: the segment was open when the writer died.
 			// Truncate the torn tail and rebuild the footer from the
 			// decodable prefix.
-			if ix, err = repairShard(path); err != nil {
+			if ix, gzipped, err = repairShard(path); err != nil {
 				continue
 			}
 		}
@@ -104,7 +102,8 @@ func adoptOrphans(dir string, man *Manifest) ([]shardInfo, error) {
 				MaxAtNS:   int64(ix.MaxAt),
 				Bytes:     fi.Size(),
 			},
-			ix: ix,
+			ix:      ix,
+			gzipped: gzipped,
 		})
 	}
 	return adopted, nil
@@ -113,22 +112,22 @@ func adoptOrphans(dir string, man *Manifest) ([]shardInfo, error) {
 // repairShard recovers the decodable prefix of a footer-less segment: the
 // payload is decompressed best-effort, records are decoded until the torn
 // tail, and the file is atomically rewritten as a well-formed shard with
-// a rebuilt footer. Returns the new footer, or an error if nothing was
-// recoverable.
-func repairShard(path string) (*shardIndex, error) {
+// a rebuilt footer. Returns the new footer and the payload's compression,
+// or an error if nothing was recoverable.
+func repairShard(path string) (*shardIndex, bool, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
-		return nil, err
+		return nil, false, err
 	}
 	if len(data) < headerLen || string(data[:len(shardMagic)]) != shardMagic {
-		return nil, fmt.Errorf("store: %s: not a shard file", filepath.Base(path))
+		return nil, false, fmt.Errorf("store: %s: not a shard file", filepath.Base(path))
 	}
-	flags := data[len(shardMagic)]
+	gzipped := data[len(shardMagic)]&flagGzip != 0
 	raw := data[headerLen:]
-	if flags&flagGzip != 0 {
+	if gzipped {
 		gr, err := gzip.NewReader(bytes.NewReader(raw))
 		if err != nil {
-			return nil, fmt.Errorf("store: %s: %w", filepath.Base(path), err)
+			return nil, false, fmt.Errorf("store: %s: %w", filepath.Base(path), err)
 		}
 		// A torn gzip stream errors at the tail; keep what decompressed.
 		raw, _ = io.ReadAll(gr)
@@ -144,92 +143,41 @@ func repairShard(path string) (*shardIndex, error) {
 		recs = append(recs, rec)
 	}
 	if len(recs) == 0 {
-		return nil, fmt.Errorf("store: %s: no recoverable records", filepath.Base(path))
+		return nil, false, fmt.Errorf("store: %s: no recoverable records", filepath.Base(path))
 	}
 	// Rewrite the file as a well-formed shard.
-	var ix shardIndex
-	pairs := make(map[trace.PairKey]struct{})
 	tmpPath := path + ".tmp"
-	tmp, err := os.Create(tmpPath)
-	if err != nil {
-		return nil, err
-	}
 	defer os.Remove(tmpPath)
-	disk := &countWriter{w: tmp}
-	if _, err := disk.Write(append([]byte(shardMagic), flags)); err != nil {
-		tmp.Close()
-		return nil, err
+	sw, err := newShardWriter(tmpPath, gzipped)
+	if err != nil {
+		return nil, false, err
 	}
-	hdrBytes := disk.n
-	var payload io.Writer = disk
-	var gz *gzip.Writer
-	if flags&flagGzip != 0 {
-		gz = gzip.NewWriter(disk)
-		payload = gz
-	}
-	rawCount := &countWriter{w: payload}
-	bw := trace.NewBinaryWriter(rawCount)
 	for _, rec := range recs {
-		var k trace.PairKey
-		var at time.Duration
 		switch v := rec.(type) {
 		case *trace.Traceroute:
-			err = bw.WriteTraceroute(v)
-			k, at = v.Key(), v.At
-			ix.Traceroutes++
+			err = sw.writeTraceroute(v)
 		case *trace.Ping:
-			err = bw.WritePing(v)
-			k, at = v.Key(), v.At
-			ix.Pings++
+			err = sw.writePing(v)
 		}
 		if err != nil {
-			tmp.Close()
-			return nil, err
-		}
-		if ix.Records == 0 || at < ix.MinAt {
-			ix.MinAt = at
-		}
-		if ix.Records == 0 || at > ix.MaxAt {
-			ix.MaxAt = at
-		}
-		ix.Records++
-		pairs[k] = struct{}{}
-	}
-	if err := bw.Flush(); err != nil {
-		tmp.Close()
-		return nil, err
-	}
-	if gz != nil {
-		if err := gz.Close(); err != nil {
-			tmp.Close()
-			return nil, err
+			sw.file.Close()
+			return nil, false, err
 		}
 	}
-	ix.PayloadBytes = disk.n - hdrBytes
-	ix.RawBytes = rawCount.n
-	ix.Exact, ix.Bloom = pairSetOf(pairs)
-	footer := encodeIndex(&ix)
-	trailer := binary.LittleEndian.AppendUint32(nil, uint32(len(footer)))
-	trailer = append(trailer, trailerMagic...)
-	if _, err := tmp.Write(footer); err != nil {
-		tmp.Close()
-		return nil, err
+	_, err = sw.seal()
+	if err == nil {
+		err = sw.file.Sync()
 	}
-	if _, err := tmp.Write(trailer); err != nil {
-		tmp.Close()
-		return nil, err
+	if cerr := sw.file.Close(); err == nil {
+		err = cerr
 	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		return nil, err
-	}
-	if err := tmp.Close(); err != nil {
-		return nil, err
+	if err != nil {
+		return nil, false, err
 	}
 	if err := os.Rename(tmpPath, path); err != nil {
-		return nil, err
+		return nil, false, err
 	}
-	return &ix, nil
+	return &sw.ix, gzipped, nil
 }
 
 // Resume reopens a store for continued writing from its last durable
@@ -325,7 +273,8 @@ func (r *VerifyReport) String() string {
 }
 
 // Verify fscks a store: every manifest-listed shard is opened, its
-// payload fully decoded at the frame level, and its counts cross-checked
+// payload walked at the frame level with every frame's key and length
+// checked against the footer's frame table, and its counts cross-checked
 // against the footer, the manifest entry, and the manifest totals.
 // Unlisted segment files are counted as orphans (torn when they lack a
 // valid footer) but do not fail verification. Verify never modifies the
@@ -342,7 +291,7 @@ func Verify(dir string) (*VerifyReport, error) {
 		listed[e.File] = true
 		rep.Shards++
 		path := filepath.Join(dir, e.File)
-		ix, err := readFooter(path)
+		ix, gzipped, err := readFooter(path)
 		if err != nil {
 			rep.Problems = append(rep.Problems, fmt.Sprintf("shard %s: %v", e.File, err))
 			continue
@@ -351,30 +300,17 @@ func Verify(dir string) (*VerifyReport, error) {
 			rep.Problems = append(rep.Problems,
 				fmt.Sprintf("shard %s: footer holds %d records, manifest says %d", e.File, ix.Records, e.Records))
 		}
-		_, raw, err := readShardBytes(path, ix)
+		raw, err := readPayload(path, ix)
+		if err == nil {
+			raw, err = framing(raw, gzipped, ix)
+		}
 		if err != nil {
 			rep.Problems = append(rep.Problems, fmt.Sprintf("shard %s: %v", e.File, err))
 			continue
 		}
-		var n, tn, pn int64
-		bad := false
-		for off := 0; off < len(raw); {
-			h, err := trace.ParseFrameHeader(raw[off:])
-			if err != nil {
-				rep.Problems = append(rep.Problems,
-					fmt.Sprintf("shard %s: frame at %d: %v", e.File, off, err))
-				bad = true
-				break
-			}
-			n++
-			if h.Kind == trace.FrameTraceroute {
-				tn++
-			} else {
-				pn++
-			}
-			off += h.Len
-		}
-		if bad {
+		n, tn, pn, err := walkFrames(raw, ix)
+		if err != nil {
+			rep.Problems = append(rep.Problems, fmt.Sprintf("shard %s: %v", e.File, err))
 			continue
 		}
 		if n != ix.Records || tn != ix.Traceroutes || pn != ix.Pings {
@@ -402,10 +338,37 @@ func Verify(dir string) (*VerifyReport, error) {
 			continue
 		}
 		rep.Orphans++
-		if _, err := readFooter(filepath.Join(dir, f.name)); err != nil {
+		if _, _, err := readFooter(filepath.Join(dir, f.name)); err != nil {
 			rep.Torn++
 		}
 	}
 	sort.Strings(rep.Problems)
 	return rep, nil
+}
+
+// walkFrames walks a shard's record framing header by header, checking
+// each frame's key and length against the footer's frame table, and
+// counts the frames by kind.
+func walkFrames(raw []byte, ix *shardIndex) (n, traceroutes, pings int64, err error) {
+	for off := 0; off < len(raw); {
+		h, err := trace.ParseFrameHeader(raw[off:])
+		if err != nil {
+			return 0, 0, 0, fmt.Errorf("frame at %d: %w", off, err)
+		}
+		if n >= int64(len(ix.Frames)) {
+			return 0, 0, 0, fmt.Errorf("frame at %d is beyond the %d-frame table", off, len(ix.Frames))
+		}
+		if f := ix.Frames[n]; ix.Exact[f.Pair] != h.Key || int(f.Len) != h.Len {
+			return 0, 0, 0, fmt.Errorf("frame %d at %d is %v/%d bytes, frame table says %v/%d",
+				n, off, h.Key, h.Len, ix.Exact[f.Pair], f.Len)
+		}
+		n++
+		if h.Kind == trace.FrameTraceroute {
+			traceroutes++
+		} else {
+			pings++
+		}
+		off += h.Len
+	}
+	return n, traceroutes, pings, nil
 }

@@ -47,7 +47,7 @@ func delist(t *testing.T, dir, file string) {
 	}
 	m.Shards = kept
 	m.Records -= victim.Records
-	ix, err := readFooter(filepath.Join(dir, file))
+	ix, _, err := readFooter(filepath.Join(dir, file))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,7 +146,7 @@ func TestOpenRepairsTornSegment(t *testing.T) {
 	victim := m.Shards[0]
 	delist(t, dir, victim.File)
 	path := filepath.Join(dir, victim.File)
-	ix, err := readFooter(path)
+	ix, _, err := readFooter(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -266,6 +266,48 @@ func TestVerify(t *testing.T) {
 	}
 	if !rep.OK() || rep.Orphans != 1 {
 		t.Fatalf("delisted segment: OK=%v orphans=%d, want OK with 1 orphan", rep.OK(), rep.Orphans)
+	}
+
+	// A frame table that names the wrong pair for a frame decodes cleanly
+	// (every count and length still adds up) but fails verification.
+	lie := writeStore(t, corpus, Options{PairShards: 2})
+	lm, err := ReadManifest(lie)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lpath := filepath.Join(lie, lm.Shards[0].File)
+	ix, _, err := readFooter(lpath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	i := 1
+	for ix.Frames[i].Pair == ix.Frames[0].Pair {
+		i++
+	}
+	ix.Frames[0].Pair, ix.Frames[i].Pair = ix.Frames[i].Pair, ix.Frames[0].Pair
+	ldata, err := os.ReadFile(lpath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, err := os.Create(lpath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.Write(ldata[:int64(headerLen)+ix.PayloadBytes]); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := writeFooter(f, ix); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	rep, err = Verify(lie)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.OK() || !strings.Contains(rep.String(), "frame table says") {
+		t.Fatalf("a frame table naming the wrong pair passed verification: %s", rep)
 	}
 
 	// Payload corruption inside a listed shard is a failure: flipping the

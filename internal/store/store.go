@@ -2,9 +2,10 @@
 // a directory of shard files plus a manifest: records are routed at write
 // time by (virtual day, pair shard), each shard holds records in the
 // internal/trace binary framing (optionally gzip-compressed) followed by a
-// footer index (record counts, time span, pair set), and manifest.json
-// pins the run that produced the store (seed, topology digest) next to the
-// shard table.
+// footer index (record counts, time span, exact pair list, and a frame
+// table giving every frame's pair and length in write order), and
+// manifest.json pins the run that produced the store (seed, topology
+// digest) next to the shard table.
 //
 // The layout exists so dataset size is independent of RAM and so readers
 // parallelize at the I/O level:
@@ -14,10 +15,11 @@
 //     per-pair record order of the writing campaign — both protocols of a
 //     directed pair hash to the same pair shard, so round-adjacent v4/v6
 //     measurements stay adjacent.
-//   - Pairs pushes pair predicates down to the index: only shards whose
-//     footer pair set can contain a requested key are opened, and within a
-//     shard frames are skipped at the frame-header level (never fully
-//     decoded) unless they match.
+//   - PairsCtx and PairCtx push pair and time predicates down to the
+//     index: only shards whose span meets the window and whose footer pair
+//     list holds a requested key are opened, and within a shard the frame
+//     table locates the keys' frames, so a point read costs the pair's
+//     bytes, not the shard's.
 //   - TimeRange prunes shards by the footer time span.
 //
 // Instrument and Trace thread the obs metrics registry and the flight

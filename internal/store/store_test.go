@@ -2,6 +2,7 @@ package store
 
 import (
 	"bytes"
+	"context"
 	"math/rand"
 	"net/netip"
 	"os"
@@ -206,9 +207,11 @@ func TestScanDeterministicOrder(t *testing.T) {
 	}
 }
 
-// TestPairsPushdown checks Pairs against a filtered flat read and asserts
-// — via the store metrics — that pushdown reads strictly fewer bytes than
-// a full scan and prunes shards through the index.
+// TestPairsPushdown checks PairsCtx against a filtered flat read and
+// asserts — via the store metrics — that pushdown prunes shards through
+// the index and reads exactly the requested keys' frames: the bytes read
+// equal the summed frame-table lengths of those keys in the shards it
+// opened, and with no window no frame is rejected.
 func TestPairsPushdown(t *testing.T) {
 	corpus := synthCorpus(3, 6, 4, 3)
 	dir := writeStore(t, corpus, Options{PairShards: 4})
@@ -247,27 +250,50 @@ func TestPairsPushdown(t *testing.T) {
 	}
 	s2.Instrument(pairReg)
 	var col collector
-	if err := s2.Pairs(4, keys, &col); err != nil {
+	if err := s2.PairsCtx(context.Background(), 4, keys, 0, -1, &col); err != nil {
 		t.Fatal(err)
 	}
 	got := byPair(t, col.recs)
 	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("Pairs result differs from filtered flat read (%d vs %d timelines)", len(got), len(want))
+		t.Fatalf("PairsCtx result differs from filtered flat read (%d vs %d timelines)", len(got), len(want))
 	}
 
 	pairBytes := pairReg.Counter(MetricBytesRead, "").Value()
-	if pairBytes <= 0 || fullBytes <= 0 {
-		t.Fatalf("byte counters did not fire (full=%d pairs=%d)", fullBytes, pairBytes)
+	if wantBytes, _ := frameBytes(s2, keys, 0, -1); pairBytes != wantBytes {
+		t.Fatalf("pushdown read %d bytes, the keys' frames total %d", pairBytes, wantBytes)
 	}
-	if pairBytes >= fullBytes {
-		t.Fatalf("pushdown read %d bytes, full scan %d — want strictly fewer", pairBytes, fullBytes)
+	if pairBytes <= 0 || pairBytes >= fullBytes {
+		t.Fatalf("pushdown read %d bytes, full scan %d — want strictly fewer and nonzero", pairBytes, fullBytes)
 	}
 	if pruned := pairReg.Counter(MetricShardsPruned, "").Value(); pruned == 0 {
 		t.Fatal("pushdown pruned no shards")
 	}
-	if skipped := pairReg.Counter(MetricFramesFiltered, "").Value(); skipped == 0 {
-		t.Fatal("pushdown decoded every frame (frame filter did not fire)")
+	if skipped := pairReg.Counter(MetricFramesFiltered, "").Value(); skipped != 0 {
+		t.Fatalf("an unwindowed key read rejected %d frames, want 0", skipped)
 	}
+}
+
+// frameBytes sums, from the footers' frame tables, the lengths of the
+// keys' frames in the shards whose span meets [from, to), and counts
+// those frames: what a pair read of the keys must fetch.
+func frameBytes(s *Store, keys []trace.PairKey, from, to time.Duration) (int64, int) {
+	var total int64
+	frames := 0
+	for i := range s.shards {
+		ix := s.shards[i].ix
+		if ix.MaxAt < from || (to >= 0 && ix.MinAt >= to) {
+			continue
+		}
+		for _, f := range ix.Frames {
+			for _, k := range keys {
+				if ix.Exact[f.Pair] == k {
+					total += int64(f.Len)
+					frames++
+				}
+			}
+		}
+	}
+	return total, frames
 }
 
 // TestPairsEmptyAndUnknown: no keys → no records, unknown keys → no
@@ -282,13 +308,14 @@ func TestPairsEmptyAndUnknown(t *testing.T) {
 	reg := obs.NewRegistry()
 	s.Instrument(reg)
 	var col collector
-	if err := s.Pairs(2, nil, &col); err != nil {
+	ctx := context.Background()
+	if err := s.PairsCtx(ctx, 2, nil, 0, -1, &col); err != nil {
 		t.Fatal(err)
 	}
 	if len(col.recs) != 0 {
 		t.Fatalf("empty key set delivered %d records", len(col.recs))
 	}
-	if err := s.Pairs(2, []trace.PairKey{{SrcID: 900, DstID: 901}}, &col); err != nil {
+	if err := s.PairsCtx(ctx, 2, []trace.PairKey{{SrcID: 900, DstID: 901}}, 0, -1, &col); err != nil {
 		t.Fatal(err)
 	}
 	if len(col.recs) != 0 {
@@ -385,14 +412,14 @@ func TestCompact(t *testing.T) {
 		if !reflect.DeepEqual(byPair(t, col.recs), want) {
 			t.Fatalf("compress=%q: compacted store differs from corpus", compress)
 		}
-		// Pushdown still works against rebuilt indexes.
+		// Pushdown still works against the merged frame tables.
 		var one collector
 		k := trace.PairKey{SrcID: 0, DstID: 1}
-		if err := s2.Pairs(2, []trace.PairKey{k}, &one); err != nil {
+		if err := s2.PairsCtx(context.Background(), 2, []trace.PairKey{k}, 0, -1, &one); err != nil {
 			t.Fatal(err)
 		}
 		if len(one.recs) != len(want[k]) {
-			t.Fatalf("compress=%q: Pairs after Compact delivered %d records, want %d",
+			t.Fatalf("compress=%q: PairsCtx after Compact delivered %d records, want %d",
 				compress, len(one.recs), len(want[k]))
 		}
 	}
@@ -505,46 +532,79 @@ func TestOpenRejectsCorruption(t *testing.T) {
 // TestIndexRoundTrip pins the footer encoding (the fuzz target explores
 // the hostile side).
 func TestIndexRoundTrip(t *testing.T) {
-	exact := &shardIndex{
+	ix := &shardIndex{
 		Records: 5, Traceroutes: 3, Pings: 2,
 		MinAt: time.Hour, MaxAt: 26 * time.Hour,
-		PayloadBytes: 1234, RawBytes: 4096,
-		Exact: []trace.PairKey{{SrcID: 1, DstID: 2}, {SrcID: 1, DstID: 2, V6: true}, {SrcID: 3, DstID: 1}},
+		PayloadBytes: 1234, RawBytes: 40 + 200 + 41 + 300 + 19,
+		Exact:  []trace.PairKey{{SrcID: 1, DstID: 2}, {SrcID: 1, DstID: 2, V6: true}, {SrcID: 3, DstID: 1}},
+		Frames: []frameRef{{0, 40}, {1, 200}, {0, 41}, {2, 300}, {1, 19}},
 	}
-	big := make(map[trace.PairKey]struct{})
-	for i := 0; i < exactPairCap+10; i++ {
-		big[trace.PairKey{SrcID: i, DstID: i + 1}] = struct{}{}
+	got, err := decodeIndex(encodeIndex(ix))
+	if err != nil {
+		t.Fatal(err)
 	}
-	exactList, bloom := pairSetOf(big)
-	if exactList != nil || len(bloom) == 0 {
-		t.Fatalf("pairSetOf did not switch to bloom above the cap")
+	if !reflect.DeepEqual(got, ix) {
+		t.Fatalf("round trip drifted:\n got %+v\nwant %+v", got, ix)
 	}
-	blooming := &shardIndex{
-		Records: 600, Traceroutes: 600,
-		MinAt: 0, MaxAt: time.Hour,
-		PayloadBytes: 9, RawBytes: 9,
-		Bloom: bloom,
+	// Exact membership is definitive both ways.
+	if ix.ordinal(trace.PairKey{SrcID: 3, DstID: 1}) != 2 {
+		t.Fatal("exact list dropped a member")
 	}
-	for name, ix := range map[string]*shardIndex{"exact": exact, "bloom": blooming} {
-		got, err := decodeIndex(encodeIndex(ix))
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
+	if ix.ordinal(trace.PairKey{SrcID: 3, DstID: 1, V6: true}) >= 0 {
+		t.Fatal("exact list invented a member")
+	}
+}
+
+// TestIndexRejectsBadFrameTable corrupts one field of a valid footer at a
+// time; the decoder must refuse each with an error, never panic or
+// accept.
+func TestIndexRejectsBadFrameTable(t *testing.T) {
+	base := func() *shardIndex {
+		return &shardIndex{
+			Records: 3, Traceroutes: 3, MaxAt: time.Hour,
+			PayloadBytes: 30, RawBytes: 30,
+			Exact:  []trace.PairKey{{SrcID: 1, DstID: 2}, {SrcID: 2, DstID: 1}},
+			Frames: []frameRef{{0, 10}, {1, 10}, {0, 10}},
 		}
-		if !reflect.DeepEqual(got, ix) {
-			t.Fatalf("%s: round trip drifted:\n got %+v\nwant %+v", name, got, ix)
+	}
+	if _, err := decodeIndex(encodeIndex(base())); err != nil {
+		t.Fatalf("valid footer rejected: %v", err)
+	}
+	cases := map[string]func(ix *shardIndex){
+		"ordinal out of range": func(ix *shardIndex) { ix.Frames[1].Pair = 2 },
+		"frame count < records": func(ix *shardIndex) {
+			ix.Frames = ix.Frames[:2]
+			ix.RawBytes, ix.PayloadBytes = 20, 20
+		},
+		"frame count > records": func(ix *shardIndex) {
+			ix.Frames = append(ix.Frames, frameRef{0, 10})
+			ix.RawBytes, ix.PayloadBytes = 40, 40
+		},
+		"length sum < raw bytes": func(ix *shardIndex) { ix.Frames[2].Len = 9 },
+		"length sum > raw bytes": func(ix *shardIndex) { ix.Frames[2].Len = 11 },
+		"zero-length frame": func(ix *shardIndex) {
+			ix.Frames[0].Len, ix.Frames[1].Len = 0, 20
+		},
+		"pair without frames": func(ix *shardIndex) { ix.Frames[1].Pair = 0 },
+		"duplicate pair":      func(ix *shardIndex) { ix.Exact[1] = ix.Exact[0] },
+		"unsorted pairs":      func(ix *shardIndex) { ix.Exact[0], ix.Exact[1] = ix.Exact[1], ix.Exact[0] },
+	}
+	for name, corrupt := range cases {
+		ix := base()
+		corrupt(ix)
+		if _, err := decodeIndex(encodeIndex(ix)); err == nil {
+			t.Errorf("%s: decoder accepted the footer", name)
 		}
 	}
-	// Exact membership is definitive both ways; bloom has no false negatives.
-	if !exact.canContain(trace.PairKey{SrcID: 3, DstID: 1}) {
-		t.Fatal("exact set dropped a member")
+	if _, err := decodeIndex(append(encodeIndex(base()), 0)); err == nil ||
+		!strings.Contains(err.Error(), "trailing") {
+		t.Errorf("trailing byte: %v", err)
 	}
-	if exact.canContain(trace.PairKey{SrcID: 3, DstID: 1, V6: true}) {
-		t.Fatal("exact set invented a member")
-	}
-	for k := range big {
-		if !blooming.canContain(k) {
-			t.Fatalf("bloom false negative on %+v", k)
-		}
+	v1 := encodeIndex(base())
+	v1[0] = 1
+	if _, err := decodeIndex(v1); err == nil ||
+		!strings.Contains(err.Error(), "version 1") || !strings.Contains(err.Error(), "regenerate") {
+		t.Errorf("v1 footer: %v, want an error naming the version and asking to regenerate", err)
 	}
 }
 
@@ -594,7 +654,7 @@ func TestPairPointLookup(t *testing.T) {
 		t.Fatal(err)
 	}
 	var col collector
-	if err := s.Pair(k, from, to, &col); err != nil {
+	if err := s.PairCtx(context.Background(), k, from, to, &col); err != nil {
 		t.Fatal(err)
 	}
 	var got []string
@@ -607,7 +667,7 @@ func TestPairPointLookup(t *testing.T) {
 	}
 	// Open-ended window (to < 0) must include the tail.
 	var all collector
-	if err := s.Pair(k, 0, -1, &all); err != nil {
+	if err := s.PairCtx(context.Background(), k, 0, -1, &all); err != nil {
 		t.Fatal(err)
 	}
 	var full []string
@@ -626,55 +686,67 @@ func TestPairPointLookup(t *testing.T) {
 }
 
 // TestPairPointLookupPushdown asserts — via the store metrics — that the
-// point-lookup path reads strictly fewer payload bytes than a full scan,
-// prunes shards through the index (column, pair set, and time span), and
-// skips non-matching frames without decoding them.
+// point lookup prunes shards through the index (pair list and time span)
+// and, inside the shards it opens, reads exactly the key's frames: the
+// bytes read equal the summed frame-table lengths of the key in those
+// shards, and the only frames rejected are the key's own frames outside
+// the window.
 func TestPairPointLookupPushdown(t *testing.T) {
 	corpus := synthCorpus(12, 6, 4, 3)
-	dir := writeStore(t, corpus, Options{PairShards: 4})
+	for _, compress := range []string{"", CompressionGzip} {
+		dir := writeStore(t, corpus, Options{PairShards: 4, Compression: compress})
 
-	fullReg := obs.NewRegistry()
-	s, err := Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s.Instrument(fullReg)
-	var full collector
-	if err := s.Scan(4, &full); err != nil {
-		t.Fatal(err)
-	}
-	fullBytes := fullReg.Counter(MetricBytesRead, "").Value()
+		fullReg := obs.NewRegistry()
+		s, err := Open(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s.Instrument(fullReg)
+		var full collector
+		if err := s.Scan(4, &full); err != nil {
+			t.Fatal(err)
+		}
+		fullBytes := fullReg.Counter(MetricBytesRead, "").Value()
 
-	pairReg := obs.NewRegistry()
-	s2, err := Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s2.Instrument(pairReg)
-	var col collector
-	k := trace.PairKey{SrcID: 1, DstID: 4}
-	if err := s2.Pair(k, 24*time.Hour, 48*time.Hour, &col); err != nil {
-		t.Fatal(err)
-	}
-	if len(col.recs) == 0 {
-		t.Fatal("point lookup delivered no records")
-	}
-	pairBytes := pairReg.Counter(MetricBytesRead, "").Value()
-	if pairBytes <= 0 || pairBytes >= fullBytes {
-		t.Fatalf("point lookup read %d bytes, full scan %d — want strictly fewer and nonzero",
-			pairBytes, fullBytes)
-	}
-	if pruned := pairReg.Counter(MetricShardsPruned, "").Value(); pruned == 0 {
-		t.Fatal("point lookup pruned no shards")
-	}
-	if skipped := pairReg.Counter(MetricFramesFiltered, "").Value(); skipped == 0 {
-		t.Fatal("point lookup decoded every frame (frame filter did not fire)")
-	}
-	// The time window must also prune whole shards: a one-day window over a
-	// four-day store leaves at least two days of this pair's column unread.
-	scanned := pairReg.Counter(MetricShardsScanned, "").Value()
-	if scanned == 0 {
-		t.Fatal("no shards scanned")
+		pairReg := obs.NewRegistry()
+		s2, err := Open(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s2.Instrument(pairReg)
+		var col collector
+		k := trace.PairKey{SrcID: 1, DstID: 4}
+		// The window cuts days 1 and 2 mid-span, so those shards are opened
+		// with some of the key's frames outside it.
+		from, to := 30*time.Hour, 54*time.Hour
+		if err := s2.PairCtx(context.Background(), k, from, to, &col); err != nil {
+			t.Fatal(err)
+		}
+		if len(col.recs) == 0 {
+			t.Fatalf("compress=%q: point lookup delivered no records", compress)
+		}
+		pairBytes := pairReg.Counter(MetricBytesRead, "").Value()
+		keyBytes, keyFrames := frameBytes(s2, []trace.PairKey{k}, from, to)
+		if compress == "" && pairBytes != keyBytes {
+			t.Fatalf("point lookup read %d bytes, the key's frames in the opened shards total %d",
+				pairBytes, keyBytes)
+		}
+		if pairBytes <= 0 || pairBytes >= fullBytes {
+			t.Fatalf("compress=%q: point lookup read %d bytes, full scan %d — want strictly fewer and nonzero",
+				compress, pairBytes, fullBytes)
+		}
+		if pruned := pairReg.Counter(MetricShardsPruned, "").Value(); pruned == 0 {
+			t.Fatalf("compress=%q: point lookup pruned no shards", compress)
+		}
+		skipped := pairReg.Counter(MetricFramesFiltered, "").Value()
+		if want := int64(keyFrames - len(col.recs)); skipped != want || skipped == 0 {
+			t.Fatalf("compress=%q: %d frames rejected, want the key's %d frames outside the window (nonzero)",
+				compress, skipped, want)
+		}
+		if scanned := pairReg.Counter(MetricShardsScanned, "").Value(); scanned != 2 {
+			t.Fatalf("compress=%q: %d shards scanned, want the key's 2 shards overlapping the window",
+				compress, scanned)
+		}
 	}
 }
 
@@ -702,4 +774,130 @@ func TestPairKeys(t *testing.T) {
 			t.Fatalf("PairKeys not sorted at %d", i)
 		}
 	}
+}
+
+// TestPairReadsMatchScan is the differential test of the frame-table read
+// path: for every key of a corpus, PairCtx, and PairsCtx over the key and
+// its other-protocol twin, must deliver exactly a brute-force filter of a
+// full Scan of the same store, in Scan order. It covers windows that are
+// empty, inverted, out of span, full span and cut mid-shard, on
+// uncompressed and gzip stores, after Compact, and after crash repair
+// plus Open.
+func TestPairReadsMatchScan(t *testing.T) {
+	corpus := synthCorpus(31, 4, 3, 3)
+	at := func(rec any) time.Duration {
+		if tr, ok := rec.(*trace.Traceroute); ok {
+			return tr.At
+		}
+		return rec.(*trace.Ping).At
+	}
+	windows := []struct{ from, to time.Duration }{
+		{0, -1},                          // open-ended
+		{0, 3 * 24 * time.Hour},          // exactly the span
+		{20 * time.Hour, 20 * time.Hour}, // empty
+		{50 * time.Hour, 10 * time.Hour}, // inverted
+		{30 * 24 * time.Hour, -1},        // after the span
+		{30 * 24 * time.Hour, 40 * 24 * time.Hour},
+		{20 * time.Hour, 50 * time.Hour}, // cuts days 0 and 2 mid-shard
+		{8 * time.Hour, 8*time.Hour + 1}, // a single round
+	}
+	for _, compress := range []string{"", CompressionGzip} {
+		opts := Options{PairShards: 3, Compression: compress}
+		stores := map[string]string{"plain": writeStore(t, corpus, opts)}
+
+		segmented := opts
+		segmented.MaxOpenShards = 1
+		stores["compacted"] = writeStore(t, corpus, segmented)
+		if err := Compact(stores["compacted"]); err != nil {
+			t.Fatal(err)
+		}
+
+		// Crash debris: an unlisted shard that lost its footer and half
+		// its payload; Open repairs and adopts the decodable prefix.
+		torn := writeStore(t, corpus, opts)
+		m, err := ReadManifest(torn)
+		if err != nil {
+			t.Fatal(err)
+		}
+		victim := m.Shards[len(m.Shards)/2].File
+		delist(t, torn, victim)
+		ix, _, err := readFooter(filepath.Join(torn, victim))
+		if err != nil {
+			t.Fatal(err)
+		}
+		data, err := os.ReadFile(filepath.Join(torn, victim))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(torn, victim), data[:int64(headerLen)+ix.PayloadBytes/2], 0o644); err != nil {
+			t.Fatal(err)
+		}
+		stores["repaired"] = torn
+
+		for name, dir := range stores {
+			s, err := Open(dir)
+			if err != nil {
+				t.Fatalf("compress=%q %s: %v", compress, name, err)
+			}
+			var all collector
+			if err := s.Scan(2, &all); err != nil {
+				t.Fatal(err)
+			}
+			if n := len(all.recs); n == 0 || (name == "repaired") != (n < len(corpus)) {
+				t.Fatalf("compress=%q %s: scan holds %d of %d records", compress, name, n, len(corpus))
+			}
+			keys, _ := s.PairKeys()
+			if len(keys) == 0 {
+				t.Fatalf("compress=%q %s: no keys", compress, name)
+			}
+			brute := func(ks []trace.PairKey, from, to time.Duration) []string {
+				var out []string
+				for _, rec := range all.recs {
+					a := at(rec)
+					if a < from || (to >= 0 && a >= to) {
+						continue
+					}
+					for _, k := range ks {
+						if keyOf(rec) == k {
+							out = append(out, recBytes(t, rec))
+						}
+					}
+				}
+				return out
+			}
+			ctx := context.Background()
+			for _, k := range keys {
+				twin := k
+				twin.V6 = !k.V6
+				for _, w := range windows {
+					var one collector
+					if err := s.PairCtx(ctx, k, w.from, w.to, &one); err != nil {
+						t.Fatal(err)
+					}
+					if got, want := frames(t, one.recs), brute([]trace.PairKey{k}, w.from, w.to); !reflect.DeepEqual(got, want) {
+						t.Fatalf("compress=%q %s: PairCtx(%v, [%v, %v)) delivered %d records, Scan filter %d",
+							compress, name, k, w.from, w.to, len(got), len(want))
+					}
+					var both collector
+					pair := []trace.PairKey{k, twin}
+					if err := s.PairsCtx(ctx, 2, pair, w.from, w.to, &both); err != nil {
+						t.Fatal(err)
+					}
+					if got, want := frames(t, both.recs), brute(pair, w.from, w.to); !reflect.DeepEqual(got, want) {
+						t.Fatalf("compress=%q %s: PairsCtx(%v, [%v, %v)) delivered %d records, Scan filter %d",
+							compress, name, pair, w.from, w.to, len(got), len(want))
+					}
+				}
+			}
+		}
+	}
+}
+
+// frames is the canonical form of a delivered record stream.
+func frames(t testing.TB, recs []any) []string {
+	var out []string
+	for _, rec := range recs {
+		out = append(out, recBytes(t, rec))
+	}
+	return out
 }

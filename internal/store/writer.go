@@ -2,7 +2,6 @@ package store
 
 import (
 	"compress/gzip"
-	"encoding/binary"
 	"fmt"
 	"io"
 	"os"
@@ -41,9 +40,92 @@ type shardWriter struct {
 	bw   *trace.BinaryWriter
 
 	ix    shardIndex
-	pairs map[trace.PairKey]struct{}
+	table tableBuilder
+	// end is the raw payload offset just past the last frame written.
+	end int64
 	// ticket orders shards for least-recently-written eviction.
 	ticket int64
+}
+
+// newShardWriter creates the shard file at path and writes its header.
+func newShardWriter(path string, gzipped bool) (*shardWriter, error) {
+	f, err := os.Create(path)
+	if err != nil {
+		return nil, err
+	}
+	flags := byte(0)
+	if gzipped {
+		flags |= flagGzip
+	}
+	if _, err := f.Write(append([]byte(shardMagic), flags)); err != nil {
+		f.Close()
+		return nil, err
+	}
+	sw := &shardWriter{file: f, disk: &countWriter{w: f}}
+	var payload io.Writer = sw.disk
+	if gzipped {
+		sw.gz = gzip.NewWriter(sw.disk)
+		payload = sw.gz
+	}
+	sw.raw = &countWriter{w: payload}
+	sw.bw = trace.NewBinaryWriter(sw.raw)
+	return sw, nil
+}
+
+// writeTraceroute appends one traceroute frame.
+func (sw *shardWriter) writeTraceroute(tr *trace.Traceroute) error {
+	if err := sw.bw.WriteTraceroute(tr); err != nil {
+		return err
+	}
+	sw.note(tr.Key(), tr.At, false)
+	return nil
+}
+
+// writePing appends one ping frame.
+func (sw *shardWriter) writePing(p *trace.Ping) error {
+	if err := sw.bw.WritePing(p); err != nil {
+		return err
+	}
+	sw.note(p.Key(), p.At, true)
+	return nil
+}
+
+// note folds the frame just written into the footer counts, span and
+// frame table.
+func (sw *shardWriter) note(k trace.PairKey, at time.Duration, isPing bool) {
+	if sw.ix.Records == 0 || at < sw.ix.MinAt {
+		sw.ix.MinAt = at
+	}
+	if sw.ix.Records == 0 || at > sw.ix.MaxAt {
+		sw.ix.MaxAt = at
+	}
+	sw.ix.Records++
+	if isPing {
+		sw.ix.Pings++
+	} else {
+		sw.ix.Traceroutes++
+	}
+	end := sw.raw.n + int64(sw.bw.Buffered())
+	sw.table.add(k, uint32(end-sw.end))
+	sw.end = end
+}
+
+// seal flushes the payload and appends the footer and trailer. It returns
+// the shard file's total size; the caller closes the file.
+func (sw *shardWriter) seal() (int64, error) {
+	if err := sw.bw.Flush(); err != nil {
+		return 0, err
+	}
+	if sw.gz != nil {
+		if err := sw.gz.Close(); err != nil {
+			return 0, err
+		}
+	}
+	sw.ix.PayloadBytes = sw.disk.n
+	sw.ix.RawBytes = sw.raw.n
+	sw.ix.Exact, sw.ix.Frames = sw.table.finish()
+	n, err := writeFooter(sw.file, &sw.ix)
+	return int64(headerLen) + sw.ix.PayloadBytes + n, err
 }
 
 // Writer routes records into shard files at write time and finalizes the
@@ -143,34 +225,11 @@ func (w *Writer) shardFor(k trace.PairKey, at time.Duration) (*shardWriter, erro
 
 func (w *Writer) openShard(cell cellID, seq int) (*shardWriter, error) {
 	name := shardName(cell.day, cell.ps, seq)
-	f, err := os.Create(filepath.Join(w.dir, name))
+	sw, err := newShardWriter(filepath.Join(w.dir, name), w.opts.Compression == CompressionGzip)
 	if err != nil {
 		return nil, err
 	}
-	flags := byte(0)
-	if w.opts.Compression == CompressionGzip {
-		flags |= flagGzip
-	}
-	hdr := append([]byte(shardMagic), flags)
-	if _, err := f.Write(hdr); err != nil {
-		f.Close()
-		return nil, err
-	}
-	sw := &shardWriter{
-		cell:  cell,
-		seq:   seq,
-		name:  name,
-		file:  f,
-		disk:  &countWriter{w: f},
-		pairs: make(map[trace.PairKey]struct{}),
-	}
-	var payload io.Writer = sw.disk
-	if flags&flagGzip != 0 {
-		sw.gz = gzip.NewWriter(sw.disk)
-		payload = sw.gz
-	}
-	sw.raw = &countWriter{w: payload}
-	sw.bw = trace.NewBinaryWriter(sw.raw)
+	sw.cell, sw.seq, sw.name = cell, seq, name
 	return sw, nil
 }
 
@@ -188,22 +247,13 @@ func (w *Writer) evictOldest() error {
 	return w.finalize(victim)
 }
 
-func (w *Writer) note(sw *shardWriter, k trace.PairKey, at time.Duration, isPing bool) {
-	if sw.ix.Records == 0 || at < sw.ix.MinAt {
-		sw.ix.MinAt = at
-	}
-	if sw.ix.Records == 0 || at > sw.ix.MaxAt {
-		sw.ix.MaxAt = at
-	}
-	sw.ix.Records++
+// note updates the writer-wide counts after sw took a record.
+func (w *Writer) note(sw *shardWriter, isPing bool) {
 	if isPing {
-		sw.ix.Pings++
 		w.pings++
 	} else {
-		sw.ix.Traceroutes++
 		w.traceroutes++
 	}
-	sw.pairs[k] = struct{}{}
 	w.clock++
 	sw.ticket = w.clock
 	w.records++
@@ -219,10 +269,10 @@ func (w *Writer) WriteTraceroute(tr *trace.Traceroute) error {
 	if err != nil {
 		return err
 	}
-	if err := sw.bw.WriteTraceroute(tr); err != nil {
+	if err := sw.writeTraceroute(tr); err != nil {
 		return err
 	}
-	w.note(sw, tr.Key(), tr.At, false)
+	w.note(sw, false)
 	return nil
 }
 
@@ -235,42 +285,21 @@ func (w *Writer) WritePing(p *trace.Ping) error {
 	if err != nil {
 		return err
 	}
-	if err := sw.bw.WritePing(p); err != nil {
+	if err := sw.writePing(p); err != nil {
 		return err
 	}
-	w.note(sw, p.Key(), p.At, true)
+	w.note(sw, true)
 	return nil
 }
 
-// finalize flushes a shard's payload, writes the footer and trailer, and
-// records its manifest entry.
+// finalize seals a shard and records its manifest entry.
 func (w *Writer) finalize(sw *shardWriter) error {
 	delete(w.open, sw.cell)
-	if err := sw.bw.Flush(); err != nil {
-		sw.file.Close()
-		return err
+	size, err := sw.seal()
+	if cerr := sw.file.Close(); err == nil {
+		err = cerr
 	}
-	if sw.gz != nil {
-		if err := sw.gz.Close(); err != nil {
-			sw.file.Close()
-			return err
-		}
-	}
-	sw.ix.PayloadBytes = sw.disk.n
-	sw.ix.RawBytes = sw.raw.n
-	sw.ix.Exact, sw.ix.Bloom = pairSetOf(sw.pairs)
-	footer := encodeIndex(&sw.ix)
-	trailer := binary.LittleEndian.AppendUint32(nil, uint32(len(footer)))
-	trailer = append(trailer, trailerMagic...)
-	if _, err := sw.file.Write(footer); err != nil {
-		sw.file.Close()
-		return err
-	}
-	if _, err := sw.file.Write(trailer); err != nil {
-		sw.file.Close()
-		return err
-	}
-	if err := sw.file.Close(); err != nil {
+	if err != nil {
 		return err
 	}
 	w.done = append(w.done, ShardEntry{
@@ -281,7 +310,7 @@ func (w *Writer) finalize(sw *shardWriter) error {
 		Records:   sw.ix.Records,
 		MinAtNS:   int64(sw.ix.MinAt),
 		MaxAtNS:   int64(sw.ix.MaxAt),
-		Bytes:     int64(headerLen) + sw.ix.PayloadBytes + int64(len(footer)) + trailerLen,
+		Bytes:     size,
 	})
 	w.shardsC.Inc()
 	w.bytesC.Add(sw.ix.PayloadBytes)

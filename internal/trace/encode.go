@@ -52,6 +52,10 @@ func NewBinaryWriter(w io.Writer) *BinaryWriter {
 // Flush flushes buffered output.
 func (bw *BinaryWriter) Flush() error { return bw.w.Flush() }
 
+// Buffered returns the number of bytes written but not yet flushed, so a
+// caller counting flushed bytes downstream can locate frame boundaries.
+func (bw *BinaryWriter) Buffered() int { return bw.w.Buffered() }
+
 func writeAddr(w *bufio.Writer, a netip.Addr) error {
 	if !a.IsValid() {
 		return w.WriteByte(0)
