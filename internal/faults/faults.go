@@ -23,10 +23,10 @@ package faults
 
 import (
 	"fmt"
-	"math/rand"
 	"sort"
 	"time"
 
+	"repro/internal/detrand"
 	"repro/internal/itopo"
 	"repro/internal/obs/flight"
 )
@@ -183,7 +183,7 @@ func (p *Plan) RouterLimited(r itopo.RouterID, at time.Duration, salt uint64) (l
 		return true, false
 	}
 	w := uint64(at / p.persistWindow)
-	return true, u01(hash(uint64(p.seed), saltLimiter, uint64(uint32(r)), salt, w)) < spans[i].drop
+	return true, coin(uint64(p.seed), saltLimiter, uint64(r), salt, w) < spans[i].drop
 }
 
 // DstFiltered reports whether the destination persistently ignores this
@@ -195,7 +195,7 @@ func (p *Plan) DstFiltered(srcID, dstID int, v6 bool, at time.Duration) bool {
 		return false
 	}
 	w := uint64(at / p.persistWindow)
-	return u01(hash(uint64(p.seed), saltDstPersist, pairSalt(srcID, dstID, v6), w)) < p.dstFailPersist
+	return coin(uint64(p.seed), saltDstPersist, pairSalt(srcID, dstID, v6), w) < p.dstFailPersist
 }
 
 // DstFlaky reports a transient destination failure at exactly at: a
@@ -204,7 +204,7 @@ func (p *Plan) DstFlaky(srcID, dstID int, v6 bool, at time.Duration) bool {
 	if p.dstFailTransient <= 0 {
 		return false
 	}
-	return u01(hash(uint64(p.seed), saltDstTransient, pairSalt(srcID, dstID, v6), uint64(at))) < p.dstFailTransient
+	return coin(uint64(p.seed), saltDstTransient, pairSalt(srcID, dstID, v6), uint64(at)) < p.dstFailTransient
 }
 
 // Events returns the full schedule, sorted by start time. The slice is
@@ -260,23 +260,8 @@ func pairSalt(srcID, dstID int, v6 bool) uint64 {
 	return s
 }
 
-// hash is the repo-standard FNV-1a mix over 64-bit words.
-func hash(vals ...uint64) uint64 {
-	h := uint64(14695981039346656037)
-	for _, v := range vals {
-		for i := 0; i < 8; i++ {
-			h ^= v & 0xff
-			h *= 1099511628211
-			v >>= 8
-		}
-	}
-	return h
-}
-
-// u01 maps a hash onto [0,1) with 53 bits of precision.
-func u01(h uint64) float64 { return float64(h>>11) / (1 << 53) }
-
-// rngFor derives the deterministic generator PRNG for one target.
-func rngFor(seed int64, salt, id uint64) *rand.Rand {
-	return rand.New(rand.NewSource(int64(hash(uint64(seed), salt, id))))
+// coin draws one uniform [0,1) value keyed by key.
+func coin(key ...uint64) float64 {
+	rng := detrand.New(detrand.Hash(key...))
+	return rng.Float64()
 }

@@ -2,10 +2,10 @@ package faults
 
 import (
 	"errors"
-	"math/rand"
 	"sort"
 	"time"
 
+	"repro/internal/detrand"
 	"repro/internal/itopo"
 )
 
@@ -57,7 +57,8 @@ type Config struct {
 	// that a destination ignores probes — the schedule's replacement for
 	// the prober's static DstFailProb. DstFailTransient is the
 	// per-attempt probability of a one-off destination failure, which
-	// retries can recover.
+	// retries can recover. Standard's 0.21 puts retried traceroute
+	// completion at ~75% averaged over seeds (TestCompletionRate).
 	DstFailPersist   float64
 	DstFailTransient float64
 
@@ -98,7 +99,7 @@ func Standard(seed int64, duration time.Duration, clusters, routers, links int) 
 		LimitMTBF:   18 * time.Hour,
 		LimitMean:   2 * time.Hour,
 
-		DstFailPersist:   0.24,
+		DstFailPersist:   0.21,
 		DstFailTransient: 0.06,
 		PersistWindow:    10 * time.Minute,
 	}
@@ -143,13 +144,15 @@ func Generate(cfg Config) (*Plan, error) {
 	}
 
 	for id := 0; id < cfg.Clusters; id++ {
-		if spans := drawSpans(rngFor(cfg.Seed, saltGenOutage, uint64(id)), cfg.Duration, cfg.OutageMTBF, cfg.OutageMean); len(spans) > 0 {
+		rng := detrand.New(detrand.Hash(uint64(cfg.Seed), saltGenOutage, uint64(id)))
+		if spans := drawSpans(&rng, cfg.Duration, cfg.OutageMTBF, cfg.OutageMean); len(spans) > 0 {
 			p.outages[id] = spans
 			for _, s := range spans {
 				p.events = append(p.events, Event{Kind: KindOutage, Start: s.start, Length: s.end - s.start, Cluster: id})
 			}
 		}
-		if spans := drawSpans(rngFor(cfg.Seed, saltGenCrash, uint64(id)), cfg.Duration, cfg.CrashMTBF, cfg.CrashMean); len(spans) > 0 {
+		rng = detrand.New(detrand.Hash(uint64(cfg.Seed), saltGenCrash, uint64(id)))
+		if spans := drawSpans(&rng, cfg.Duration, cfg.CrashMTBF, cfg.CrashMean); len(spans) > 0 {
 			p.crashes[id] = spans
 			for _, s := range spans {
 				p.events = append(p.events, Event{Kind: KindAgentCrash, Start: s.start, Length: s.end - s.start, Cluster: id})
@@ -159,12 +162,12 @@ func Generate(cfg Config) (*Plan, error) {
 
 	if cfg.LimitedFrac > 0 {
 		for r := 0; r < cfg.Routers; r++ {
-			if u01(hash(uint64(cfg.Seed), saltLimitSel, uint64(r))) >= cfg.LimitedFrac {
+			if coin(uint64(cfg.Seed), saltLimitSel, uint64(r)) >= cfg.LimitedFrac {
 				continue
 			}
-			rng := rngFor(cfg.Seed, saltGenLimit, uint64(r))
+			rng := detrand.New(detrand.Hash(uint64(cfg.Seed), saltGenLimit, uint64(r)))
 			var list []limitSpan
-			for _, s := range drawSpans(rng, cfg.Duration, cfg.LimitMTBF, cfg.LimitMean) {
+			for _, s := range drawSpans(&rng, cfg.Duration, cfg.LimitMTBF, cfg.LimitMean) {
 				demand := cfg.LimitDemand * (0.75 + 0.5*rng.Float64())
 				drop := dropRate(cfg.LimitRate, cfg.LimitBurst, demand, s.end-s.start)
 				if drop <= 0 {
@@ -181,8 +184,8 @@ func Generate(cfg Config) (*Plan, error) {
 	}
 
 	if cfg.Links > 0 && cfg.BrownoutLinks > 0 {
-		rng := rngFor(cfg.Seed, saltGenBrownout, 0)
-		for _, s := range drawSpans(rng, cfg.Duration, cfg.BrownoutMTBF, cfg.BrownoutMean) {
+		rng := detrand.New(detrand.Hash(uint64(cfg.Seed), saltGenBrownout))
+		for _, s := range drawSpans(&rng, cfg.Duration, cfg.BrownoutMTBF, cfg.BrownoutMean) {
 			k := cfg.BrownoutLinks
 			if k > cfg.Links {
 				k = cfg.Links
@@ -190,7 +193,7 @@ func Generate(cfg Config) (*Plan, error) {
 			seen := make(map[itopo.LinkID]bool, k)
 			links := make([]itopo.LinkID, 0, k)
 			for len(links) < k {
-				l := itopo.LinkID(rng.Intn(cfg.Links))
+				l := itopo.LinkID(rng.IntN(cfg.Links))
 				if seen[l] {
 					continue
 				}
@@ -213,7 +216,7 @@ func Generate(cfg Config) (*Plan, error) {
 // drawSpans draws a Poisson window schedule over [0, duration): idle gaps
 // are exponential with mean mtbf, window lengths exponential with mean
 // length (floored at one minute, clipped to the horizon).
-func drawSpans(rng *rand.Rand, duration, mtbf, mean time.Duration) []span {
+func drawSpans(rng *detrand.Rand, duration, mtbf, mean time.Duration) []span {
 	if mtbf <= 0 || mean <= 0 {
 		return nil
 	}

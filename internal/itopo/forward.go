@@ -5,6 +5,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/detrand"
 	"repro/internal/ipam"
 )
 
@@ -104,22 +105,6 @@ func (n *Network) computeSPT(target RouterID, v6 bool) *spt {
 	return t
 }
 
-// flowHash mixes a flow identifier with a per-router salt to pick among
-// equal-cost links (FNV-1a).
-func flowHash(flowID uint64, salt RouterID) uint64 {
-	h := uint64(14695981039346656037)
-	mix := func(v uint64) {
-		for i := 0; i < 8; i++ {
-			h ^= v & 0xff
-			h *= 1099511628211
-			v >>= 8
-		}
-	}
-	mix(flowID)
-	mix(uint64(uint32(salt)))
-	return h
-}
-
 // walkIntraAS appends the hops from cur to target inside one AS, choosing
 // among equal-cost links by flow hash. It returns the final cumulative
 // delay.
@@ -138,7 +123,7 @@ func (n *Network) walkIntraAS(hops *[]PathHop, cur RouterID, target RouterID, v6
 		}
 		lid := links[0]
 		if len(links) > 1 {
-			lid = links[int(flowHash(flowID, cur)%uint64(len(links)))]
+			lid = links[int(detrand.Hash(flowID, uint64(cur))%uint64(len(links)))]
 		}
 		l := n.Links[lid]
 		cur = l.Other(cur)

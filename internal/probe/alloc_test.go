@@ -9,10 +9,10 @@ import (
 
 // TestMeasurementHotPathAllocs guards the warm per-measurement path. With
 // the routing view built, the path cache and interner generation filled,
-// and the record/rng pools primed, a repeated Paris traceroute or ping at
+// and the record pools primed, a repeated Paris traceroute or ping at
 // fixed coordinates should allocate nothing: the record comes from the
-// pool, its hop list reuses retained capacity, the PRNG is pooled, and
-// resolved paths are cache hits. The bound tolerates a stray allocation
+// pool, its hop list reuses retained capacity, the PRNG is a stack value,
+// and resolved paths are cache hits. The bound tolerates a stray allocation
 // from an incidental GC clearing a sync.Pool mid-measurement; the naive
 // path this guards against costs dozens per measurement.
 func TestMeasurementHotPathAllocs(t *testing.T) {

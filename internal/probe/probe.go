@@ -18,6 +18,7 @@ import (
 	"time"
 
 	"repro/internal/cdn"
+	"repro/internal/detrand"
 	"repro/internal/faults"
 	"repro/internal/itopo"
 	"repro/internal/obs"
@@ -145,49 +146,6 @@ func serverAddr(c *cdn.Cluster, v6 bool) netip.Addr {
 	return c.Server4
 }
 
-// pairFlow derives the stable flow identifier a measurement process uses
-// for a destination (fixed source/destination ports).
-func pairFlow(srcID, dstID int, v6 bool) uint64 {
-	h := uint64(1469598103934665603)
-	mix := func(v uint64) {
-		for i := 0; i < 8; i++ {
-			h ^= v & 0xff
-			h *= 1099511628211
-			v >>= 8
-		}
-	}
-	mix(uint64(int64(srcID)))
-	mix(uint64(int64(dstID)))
-	if v6 {
-		mix(7)
-	}
-	return h
-}
-
-// dstLimiterSalt and hopLimiterSalt namespace a pair's limiter draws: the
-// destination's echo reply and each TTL's exceeded reply are independent
-// coins, but each is stable across retry attempts inside one persistence
-// window (see faults.Plan.RouterLimited).
-func dstLimiterSalt(base uint64) uint64 { return base ^ 0xd1b54a32d192ed03 }
-
-func hopLimiterSalt(base uint64, ttl int) uint64 {
-	return base + uint64(ttl)*0x9e3779b97f4a7c15
-}
-
-func probeFlow(base uint64, ttl int, at time.Duration) uint64 {
-	h := base
-	mix := func(v uint64) {
-		for i := 0; i < 8; i++ {
-			h ^= v & 0xff
-			h *= 1099511628211
-			v >>= 8
-		}
-	}
-	mix(uint64(ttl))
-	mix(uint64(int64(at)))
-	return h
-}
-
 // Ping measures the RTT between two measurement servers at virtual time at.
 // Records come from the trace pool: consumers that stream them may hand
 // them back via trace.RecyclePing.
@@ -199,9 +157,10 @@ func (p *Prober) Ping(src, dst *cdn.Cluster, v6 bool, at time.Duration) *trace.P
 	p.mPings.Inc()
 	p.countMeasurement(at)
 	rng := p.Net.Rand(simnet.KindPing, src.ID, dst.ID, v6, at)
-	defer p.Net.PutRand(rng)
-	flowF := pairFlow(src.ID, dst.ID, v6)
-	flowR := pairFlow(dst.ID, src.ID, v6)
+	// Flow identifiers are stable per directed pair (fixed ports).
+	fam := simnet.Family(v6)
+	flowF := detrand.Hash(uint64(src.ID), uint64(dst.ID), fam)
+	flowR := detrand.Hash(uint64(dst.ID), uint64(src.ID), fam)
 
 	fwd, err := p.Net.ForwardHops(src, dst, v6, flowF, at)
 	if err != nil {
@@ -217,12 +176,12 @@ func (p *Prober) Ping(src, dst *cdn.Cluster, v6 bool, at time.Duration) *trace.P
 	}
 	cong := p.Net.CongestionDelay(fwd, len(fwd)-1, at) + p.Net.CongestionDelay(rev, len(rev)-1, at)
 	extra := p.Net.FaultLoss(fwd, len(fwd)-1, at) + p.Net.FaultLoss(rev, len(rev)-1, at)
-	if p.Net.LostFaulted(rng, cong, extra) {
+	if p.Net.LostFaulted(&rng, cong, extra) {
 		rec.Lost = true
 		return rec
 	}
 	base := p.Net.OneWayDelay(fwd, at) + p.Net.OneWayDelay(rev, at) + 4*p.Net.Config().ServerLinkDelay
-	rec.RTT = base + p.Net.Noise(rng, len(fwd)+len(rev))
+	rec.RTT = base + p.Net.Noise(&rng, len(fwd)+len(rev))
 	return rec
 }
 
@@ -236,11 +195,16 @@ func (p *Prober) Traceroute(src, dst *cdn.Cluster, v6, paris bool, at time.Durat
 	p.mTraceroutes.Inc()
 	p.countMeasurement(at)
 	rng := p.Net.Rand(simnet.KindTraceroute, src.ID, dst.ID, v6, at)
-	defer p.Net.PutRand(rng)
-	base := pairFlow(src.ID, dst.ID, v6)
+	fam := simnet.Family(v6)
+	// base is the pair's stable flow (fixed ports). It also salts the
+	// pair's limiter draws: the destination's echo reply keys on base
+	// itself and each TTL's exceeded reply on Hash(base, ttl), so each is
+	// an independent coin, stable across retry attempts inside one
+	// persistence window (see faults.Plan.RouterLimited).
+	base := detrand.Hash(uint64(src.ID), uint64(dst.ID), fam)
 
 	// The destination's reply travels the true reverse route.
-	revFlow := pairFlow(dst.ID, src.ID, v6)
+	revFlow := detrand.Hash(uint64(dst.ID), uint64(src.ID), fam)
 	rev, revErr := p.Net.ForwardHops(dst, src, v6, revFlow, at)
 
 	serverLink := p.Net.Config().ServerLinkDelay
@@ -255,7 +219,7 @@ func (p *Prober) Traceroute(src, dst *cdn.Cluster, v6, paris bool, at time.Durat
 		dstAnswers = !p.Faults.DstFiltered(src.ID, dst.ID, v6, at) &&
 			!p.Faults.DstFlaky(src.ID, dst.ID, v6, at)
 		if dstAnswers {
-			if _, drop := p.Faults.RouterLimited(dst.Attach, at, dstLimiterSalt(base)); drop {
+			if _, drop := p.Faults.RouterLimited(dst.Attach, at, base); drop {
 				p.mDstRateLimited.Inc()
 				dstAnswers = false
 			}
@@ -282,7 +246,7 @@ func (p *Prober) Traceroute(src, dst *cdn.Cluster, v6, paris bool, at time.Durat
 		if paris {
 			hops, err = p.Net.ForwardHops(src, dst, v6, base, at)
 		} else {
-			flow := probeFlow(base, ttl, at)
+			flow := detrand.Hash(base, uint64(ttl), uint64(at))
 			*scratch, err = p.Net.ForwardHopsScratch(*scratch, src, dst, v6, flow, at)
 			hops = *scratch
 		}
@@ -301,7 +265,7 @@ func (p *Prober) Traceroute(src, dst *cdn.Cluster, v6, paris bool, at time.Durat
 				e2e := p.Net.OneWayDelay(hops, at) + p.Net.OneWayDelay(rev, at) + 4*serverLink
 				rec.Hops = append(rec.Hops, trace.Hop{
 					Addr: serverAddr(dst, v6),
-					RTT:  e2e + p.Net.Noise(rng, len(hops)+len(rev)),
+					RTT:  e2e + p.Net.Noise(&rng, len(hops)+len(rev)),
 				})
 				rec.Complete = true
 				rec.RTT = rec.Hops[len(rec.Hops)-1].RTT
@@ -315,7 +279,7 @@ func (p *Prober) Traceroute(src, dst *cdn.Cluster, v6, paris bool, at time.Durat
 			// Governed routers answer by their limiter's verdict instead of
 			// the static coin (which is still drawn, keeping the rng stream
 			// aligned between governed and ungoverned routers).
-			if limited, drop := p.Faults.RouterLimited(h.Router, at, hopLimiterSalt(base, ttl)); limited {
+			if limited, drop := p.Faults.RouterLimited(h.Router, at, detrand.Hash(base, uint64(ttl))); limited {
 				responds = !drop
 				if drop {
 					p.mRateLimitDrops.Inc()
@@ -330,7 +294,7 @@ func (p *Prober) Traceroute(src, dst *cdn.Cluster, v6, paris bool, at time.Durat
 		// forward segment: hop RTT ≈ 2 × (propagation + congestion) up to
 		// this hop.
 		oneWay := h.Cum + p.Net.CongestionDelay(hops, ttl, at)
-		hopRTT := 2*oneWay + 2*serverLink + p.Net.Noise(rng, ttl)
+		hopRTT := 2*oneWay + 2*serverLink + p.Net.Noise(&rng, ttl)
 		addr := p.Net.R.Links[h.InLink].AddrOn(h.Router, v6)
 		rec.Hops = append(rec.Hops, trace.Hop{Addr: addr, RTT: hopRTT})
 	}
@@ -338,8 +302,8 @@ func (p *Prober) Traceroute(src, dst *cdn.Cluster, v6, paris bool, at time.Durat
 	// Classic traceroute artifact: a mid-measurement path change makes a
 	// stale earlier hop reappear later in the output.
 	if !paris && len(rec.Hops) >= 4 && rng.Float64() < p.ArtifactProb {
-		i := 1 + rng.Intn(len(rec.Hops)/2)
-		j := len(rec.Hops)/2 + rng.Intn(len(rec.Hops)/2)
+		i := 1 + rng.IntN(len(rec.Hops)/2)
+		j := len(rec.Hops)/2 + rng.IntN(len(rec.Hops)/2)
 		if i < j && j < len(rec.Hops)-1 { // never clobber the final hop
 			rec.Hops[j] = rec.Hops[i]
 		}

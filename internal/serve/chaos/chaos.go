@@ -31,11 +31,11 @@ package chaos
 
 import (
 	"fmt"
-	"math/rand"
 	"sync"
 	"sync/atomic"
 	"time"
 
+	"repro/internal/detrand"
 	"repro/internal/obs"
 	"repro/internal/obs/flight"
 )
@@ -294,8 +294,8 @@ func (p *Plan) generate(e edge) []Window {
 		if fam.rate <= 0 {
 			continue
 		}
-		rng := rand.New(rand.NewSource(int64(hash(
-			uint64(p.cfg.Seed), fam.salt, strHash(e.src), strHash(e.dst)))))
+		rng := detrand.New(detrand.Hash(uint64(p.cfg.Seed), fam.salt,
+			detrand.String(e.src), detrand.String(e.dst)))
 		n := int(fam.rate)
 		if rng.Float64() < fam.rate-float64(n) {
 			n++
@@ -303,14 +303,14 @@ func (p *Plan) generate(e edge) []Window {
 		for i := 0; i < n; i++ {
 			w := Window{
 				Kind:   fam.kind,
-				Start:  time.Duration(rng.Int63n(int64(p.cfg.Horizon))),
-				Length: fam.mean/2 + time.Duration(rng.Int63n(int64(fam.mean))),
+				Start:  time.Duration(rng.Float64() * float64(p.cfg.Horizon)),
+				Length: fam.mean/2 + time.Duration(rng.Float64()*float64(fam.mean)),
 			}
 			if w.Start+w.Length > p.cfg.Horizon {
 				w.Length = p.cfg.Horizon - w.Start // heal at the horizon, always
 			}
 			if fam.kind == KindDelay {
-				w.Delay = 1 + time.Duration(rng.Int63n(int64(p.cfg.MaxDelay)))
+				w.Delay = 1 + time.Duration(rng.Float64()*float64(p.cfg.MaxDelay))
 			}
 			out = append(out, w)
 		}
@@ -354,26 +354,3 @@ func (p *Plan) noteDrop()  { p.drops.Add(1); p.dropsC.Inc() }
 func (p *Plan) noteDelay() { p.delays.Add(1); p.delaysC.Inc() }
 func (p *Plan) noteDup()   { p.dups.Add(1); p.dupsC.Inc() }
 func (p *Plan) noteLost()  { p.lost.Add(1); p.lostC.Inc() }
-
-// hash is the repo-standard FNV-1a mix over 64-bit words.
-func hash(vals ...uint64) uint64 {
-	h := uint64(14695981039346656037)
-	for _, v := range vals {
-		for i := 0; i < 8; i++ {
-			h ^= v & 0xff
-			h *= 1099511628211
-			v >>= 8
-		}
-	}
-	return h
-}
-
-// strHash folds a component name (a base URL) into one hash word.
-func strHash(s string) uint64 {
-	h := uint64(14695981039346656037)
-	for i := 0; i < len(s); i++ {
-		h ^= uint64(s[i])
-		h *= 1099511628211
-	}
-	return h
-}

@@ -241,12 +241,13 @@ func (b *Backend) Series(ctx context.Context, q PairQuery) (*SeriesResponse, err
 			step = b.cfg.Interval
 		}
 	}
-	if min := span / time.Duration(b.cfg.MaxPoints); step < min {
+	// Round the floor up so that ceil(span/step) never exceeds MaxPoints.
+	if min := (span + time.Duration(b.cfg.MaxPoints) - 1) / time.Duration(b.cfg.MaxPoints); step < min {
 		step = min
 	}
-	n := int((span + step - 1) / step)
-	if n < 1 {
-		n = 1
+	n := int(span / step)
+	if span%step != 0 || n < 1 {
+		n++
 	}
 	resp := &SeriesResponse{
 		Src: q.Src, Dst: q.Dst, V6: q.V6,

@@ -13,13 +13,13 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"math/rand"
 	"sync"
 	"time"
 
 	"repro/internal/bgp"
 	"repro/internal/cdn"
 	"repro/internal/congestion"
+	"repro/internal/detrand"
 	"repro/internal/faults"
 	"repro/internal/intern"
 	"repro/internal/ipam"
@@ -133,17 +133,19 @@ type pathShard struct {
 	hits, misses, stale, evictions *obs.Counter
 }
 
+// pathKey names one resolved path. The AS path is not part of it: it is a
+// function of the attach routers' ASes, the epoch and the family (the
+// cache is per family).
 type pathKey struct {
 	src, dst itopo.RouterID
 	flow     uint64
-	asHash   uint64
 	epoch    int
 }
 
-// shardIndex spreads keys across shards; flow and asHash are already
-// FNV-mixed, so a simple combine suffices.
+// shardIndex spreads keys across shards; flow is already hash-mixed, so a
+// simple combine suffices.
 func (k pathKey) shardIndex() int {
-	h := k.flow ^ k.asHash ^ uint64(k.src)<<32 ^ uint64(k.dst) ^ uint64(k.epoch)<<16
+	h := k.flow ^ uint64(k.src)<<32 ^ uint64(k.dst) ^ uint64(k.epoch)<<16
 	h *= 1099511628211
 	return int((h >> 32) % pathCacheShards)
 }
@@ -276,7 +278,7 @@ func (n *Net) resolveCached(sr, dr itopo.RouterID, asPath []ipam.ASN, v6 bool, f
 		fi = 1
 	}
 	epoch := n.Dyn.EpochAt(t)
-	key := pathKey{sr, dr, flowID, hashASPath(asPath), epoch}
+	key := pathKey{sr, dr, flowID, epoch}
 	sh := &n.shards[fi][key.shardIndex()]
 	sh.mu.Lock()
 	if hops, ok := sh.m[key]; ok {
@@ -501,53 +503,25 @@ const (
 	KindTraceroute
 )
 
-// rngPool recycles per-measurement PRNGs: the ~5KB rngSource state behind
-// every rand.New was the single largest per-measurement allocation.
-// Reseeding a pooled generator resets it to exactly the state rand.New
-// produces, so pooled and fresh generators draw identical streams.
-var rngPool = sync.Pool{New: func() any {
-	return rand.New(rand.NewSource(0))
-}}
-
-// Rand returns the deterministic PRNG for one measurement. Callers on the
-// hot path should hand the generator back via PutRand once the measurement
-// is complete; generators are pooled and reseeded, which preserves the
-// determinism contract exactly.
-func (n *Net) Rand(kind MeasurementKind, srcID, dstID int, v6 bool, at time.Duration) *rand.Rand {
-	h := uint64(14695981039346656037)
-	mix := func(v uint64) {
-		for i := 0; i < 8; i++ {
-			h ^= v & 0xff
-			h *= 1099511628211
-			v >>= 8
-		}
-	}
-	mix(uint64(n.cfg.Seed))
-	mix(uint64(kind))
-	mix(uint64(int64(srcID)))
-	mix(uint64(int64(dstID)))
-	mix(uint64(int64(at)))
-	if v6 {
-		mix(1)
-	} else {
-		mix(2)
-	}
-	rng := rngPool.Get().(*rand.Rand)
-	rng.Seed(int64(h))
-	return rng
+// Rand returns the deterministic generator for one measurement, keyed by
+// (seed, kind, src, dst, family, time). The generator is a value: it needs
+// no release and seeding it allocates nothing.
+func (n *Net) Rand(kind MeasurementKind, srcID, dstID int, v6 bool, at time.Duration) detrand.Rand {
+	return detrand.New(detrand.Hash(uint64(n.cfg.Seed), uint64(kind),
+		uint64(srcID), uint64(dstID), Family(v6), uint64(at)))
 }
 
-// PutRand returns a measurement PRNG to the pool. The caller must not use
-// the generator afterwards. Passing nil is a no-op.
-func (n *Net) PutRand(rng *rand.Rand) {
-	if rng != nil {
-		rngPool.Put(rng)
+// Family is a measurement's address-family key word.
+func Family(v6 bool) uint64 {
+	if v6 {
+		return 6
 	}
+	return 4
 }
 
 // Noise draws the additive measurement noise for a path of the given hop
 // count: per-hop half-normal jitter plus an occasional exponential spike.
-func (n *Net) Noise(rng *rand.Rand, hopCount int) time.Duration {
+func (n *Net) Noise(rng *detrand.Rand, hopCount int) time.Duration {
 	var d time.Duration
 	for i := 0; i < hopCount; i++ {
 		d += time.Duration(math.Abs(rng.NormFloat64()) * float64(n.cfg.HopJitter))
@@ -558,32 +532,10 @@ func (n *Net) Noise(rng *rand.Rand, hopCount int) time.Duration {
 	return d
 }
 
-// Lost reports whether a ping is dropped (independent of reachability).
-func (n *Net) Lost(rng *rand.Rand) bool { return rng.Float64() < n.cfg.LossProb }
-
-// LostCongested reports a drop given the congestion queueing delay the
-// packet met: baseline loss plus CongestionLossPerMs per millisecond.
-func (n *Net) LostCongested(rng *rand.Rand, congestion time.Duration) bool {
-	return n.LostFaulted(rng, congestion, 0)
-}
-
 // LostFaulted reports a drop given the congestion queueing delay and an
 // additional fault-induced loss probability (brownouts, from FaultLoss)
-// on the path. It consumes exactly one rng draw, like LostCongested.
-func (n *Net) LostFaulted(rng *rand.Rand, congestion time.Duration, extraLoss float64) bool {
+// on the path. It consumes exactly one rng draw.
+func (n *Net) LostFaulted(rng *detrand.Rand, congestion time.Duration, extraLoss float64) bool {
 	p := n.cfg.LossProb + n.cfg.CongestionLossPerMs*float64(congestion)/float64(time.Millisecond) + extraLoss
 	return rng.Float64() < p
-}
-
-func hashASPath(p []ipam.ASN) uint64 {
-	h := uint64(14695981039346656037)
-	for _, a := range p {
-		v := uint64(a)
-		for i := 0; i < 4; i++ {
-			h ^= v & 0xff
-			h *= 1099511628211
-			v >>= 8
-		}
-	}
-	return h
 }

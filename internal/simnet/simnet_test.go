@@ -10,6 +10,7 @@ import (
 	"repro/internal/bgp"
 	"repro/internal/cdn"
 	"repro/internal/congestion"
+	"repro/internal/detrand"
 	"repro/internal/itopo"
 )
 
@@ -179,30 +180,29 @@ func TestUnreachableV6(t *testing.T) {
 	}
 }
 
+// TestRandDeterministicPerCoordinates checks that a measurement's
+// generator is keyed by exactly the detrand contract, so the stream
+// statistics detrand's tests establish for adjacent keys hold here, and
+// that every coordinate enters the key.
 func TestRandDeterministicPerCoordinates(t *testing.T) {
 	w := newWorld(t, 6)
-	a := w.sim.Rand(KindPing, 1, 2, false, time.Hour)
-	b := w.sim.Rand(KindPing, 1, 2, false, time.Hour)
-	for i := 0; i < 10; i++ {
-		if a.Uint64() != b.Uint64() {
-			t.Fatal("same coordinates produced different streams")
+	base := w.sim.Rand(KindPing, 1, 2, false, time.Hour)
+	if base != w.sim.Rand(KindPing, 1, 2, false, time.Hour) {
+		t.Fatal("same coordinates produced different generators")
+	}
+	want := detrand.New(detrand.Hash(6, uint64(KindPing), 1, 2, Family(false), uint64(time.Hour)))
+	if base != want {
+		t.Fatal("generator is not keyed by Hash(seed, kind, src, dst, family, time)")
+	}
+	for name, v := range map[string]detrand.Rand{
+		"kind":      w.sim.Rand(KindTraceroute, 1, 2, false, time.Hour),
+		"direction": w.sim.Rand(KindPing, 2, 1, false, time.Hour),
+		"family":    w.sim.Rand(KindPing, 1, 2, true, time.Hour),
+		"time":      w.sim.Rand(KindPing, 1, 2, false, time.Hour+1),
+	} {
+		if v == base {
+			t.Errorf("%s should salt the stream", name)
 		}
-	}
-	// Different kind, id, family, or time changes the stream.
-	variants := []*Net{w.sim}
-	_ = variants
-	base := w.sim.Rand(KindPing, 1, 2, false, time.Hour).Uint64()
-	if w.sim.Rand(KindTraceroute, 1, 2, false, time.Hour).Uint64() == base {
-		t.Error("kind should salt the stream")
-	}
-	if w.sim.Rand(KindPing, 2, 1, false, time.Hour).Uint64() == base {
-		t.Error("ids should salt the stream")
-	}
-	if w.sim.Rand(KindPing, 1, 2, true, time.Hour).Uint64() == base {
-		t.Error("family should salt the stream")
-	}
-	if w.sim.Rand(KindPing, 1, 2, false, 2*time.Hour).Uint64() == base {
-		t.Error("time should salt the stream")
 	}
 }
 
@@ -212,7 +212,7 @@ func TestNoiseShape(t *testing.T) {
 	var sum time.Duration
 	n := 2000
 	for i := 0; i < n; i++ {
-		d := w.sim.Noise(rng, 15)
+		d := w.sim.Noise(&rng, 15)
 		if d < 0 {
 			t.Fatal("negative noise")
 		}
@@ -232,7 +232,7 @@ func TestLostRate(t *testing.T) {
 	lost := 0
 	n := 20000
 	for i := 0; i < n; i++ {
-		if w.sim.Lost(rng) {
+		if w.sim.LostFaulted(&rng, 0, 0) {
 			lost++
 		}
 	}
